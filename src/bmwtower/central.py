@@ -101,36 +101,31 @@ def zhat_series(prefix, order, field):
     return list(full.coeffs)
 
 
-def central_elements(rep):
-    """The product Z = y_1...y_n and power sums Z^(p) as matrices."""
+def power_sum(rep, p):
+    """The power sum Z^(p) = sum_j (y_j^p - nu^(2p) y_j^(-p)) as a matrix."""
     f = rep.field
-    n = rep.n
-    z = Matrix.identity(rep.dim, f)
+    total = Matrix.zero(rep.dim, rep.dim, f)
+    nu2p = f.nu_pow(2 * p)
     for y in rep.y:
-        z = z * y
-    powers = {}
-    for p in range(0, 4):
-        total = Matrix.zero(rep.dim, rep.dim, f)
-        nu2p = f.nu_pow(2 * p)
-        for y in rep.y:
-            yp = Matrix.identity(rep.dim, f)
-            for _ in range(p):
-                yp = yp * y
-            yminv = yp.inverse()
-            total = total + yp - yminv.scale(nu2p)
-        powers[p] = total
-    return z, powers
+        yp = Matrix.identity(rep.dim, f)
+        for _ in range(p):
+            yp = yp * y
+        total = total + yp - yp.inverse().scale(nu2p)
+    return total
 
 
 def central_scalars(rep, max_power=3):
-    """Scalars by which Z and Z^(p) act; raises if any is non-scalar."""
-    z, powers = central_elements(rep)
+    """Scalars by which Z = y_1...y_n and Z^(0..max_power) act; raises if
+    any is non-scalar."""
+    z = Matrix.identity(rep.dim, rep.field)
+    for y in rep.y:
+        z = z * y
     c = z.is_scalar()
     if c is None:
         raise CentralityViolated("product of JM elements is not scalar")
     out = {"Z": c, "Zp": {}}
     for p in range(max_power + 1):
-        s = powers[p].is_scalar()
+        s = power_sum(rep, p).is_scalar()
         if s is None:
             raise CentralityViolated(f"power sum p={p} is not scalar")
         out["Zp"][p] = s

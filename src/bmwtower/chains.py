@@ -120,8 +120,11 @@ def eigenvalues_numeric(h, s):
     """Eigenvalues of the specialized chain, sorted by (real, imaginary)."""
     import numpy as np
 
-    from .scalars import check_generic
-    check_generic(s, h.rep.n)
+    from .scalars import NonGenericPoint, check_generic
+    if not check_generic(s, h.rep.n):
+        raise NonGenericPoint(
+            f"(q={s.q_value}, nu={s.nu_value}) is not generic at level {h.rep.n}"
+        )
     mat = np.array(bulk_complex(h, s), dtype=complex)
     u = complex(specialize(h.rep.field.q - h.rep.field.q_pow(-1), s))
     mat += (u * h.boundary) * np.eye(h.dim)

@@ -146,9 +146,6 @@ class Matrix:
                 b[r] = [x - fac * y for x, y in zip(b[r], b[col])]
         return Matrix(b, f, _copy=False)
 
-    def commutator(self, other):
-        return self * other - other * self
-
     def __repr__(self):
         return f"Matrix({self.n}x{self.m} over {self.field.name})"
 

@@ -1,232 +1,14 @@
 """Bivariate polynomial gcd for fraction reduction.
 
-Works on the raw term dicts of LaurentPoly.  Polynomials are handled as
-dense little-endian coefficient lists: Z[nu] as list[int] and Z[nu][q] as
-list[list[int]].  The gcd uses the primitive polynomial remainder sequence
-at both levels, which is entirely adequate at the degrees this package
-produces.  Laurent monomial units are irrelevant here: callers normalize
+Works on the raw term dicts of LaurentPoly.  Both sides are shifted to
+nonnegative exponents and reduced by their gcd in sympy's sparse ring
+Z[q, nu].  sympy is imported inside ``reduce_fraction``, so runs that never
+reduce a symbolic fraction (rational mode, the combinatorial commands) never
+import it.  Laurent monomial units are irrelevant here: callers normalize
 monomial content separately.
 """
 
 from __future__ import annotations
-
-from functools import reduce
-from math import gcd
-
-
-# --- Z[x] ------------------------------------------------------------------
-
-
-def _znorm(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _zadd(a, b):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    return _znorm(out)
-
-
-def _zneg(a):
-    return [-c for c in a]
-
-def _zmul(a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, c in enumerate(a):
-        if c:
-            for j, d in enumerate(b):
-                if d:
-                    out[i + j] += c * d
-    return _znorm(out)
-
-
-def _zscale(a, k):
-    return [c * k for c in a] if k else []
-
-
-def _zcontent(a):
-    return reduce(gcd, (abs(c) for c in a), 0)
-
-
-def _zdiv_int(a, g):
-    return [c // g for c in a]
-
-
-def _zprem(a, b):
-    """Pseudo-remainder in Z[x]: iterate a <- lc(b)*a - lc(a)*x^k*b."""
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    while a and len(a) - 1 >= db:
-        la = a[-1]
-        shift = len(a) - 1 - db
-        a = _znorm(_zadd(_zscale(a, lb), _zneg([0] * shift + _zscale(b, la))))
-    return a
-
-
-def _zgcd(a, b):
-    a, b = list(a), list(b)
-    if not a:
-        return b
-    if not b:
-        return a
-    ca, cb = _zcontent(a), _zcontent(b)
-    c = gcd(ca, cb)
-    a = _zdiv_int(a, ca)
-    b = _zdiv_int(b, cb)
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        r = _zprem(a, b)
-        a, b = b, r
-        cr = _zcontent(b)
-        if cr:
-            b = _zdiv_int(b, cr)
-    return _zscale(a, c)
-
-
-def _zdivexact(a, b):
-    """Exact quotient a/b in Z[x]; raises if the division is not exact."""
-    a = list(a)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    db, lb = len(b) - 1, b[-1]
-    out = [0] * (max(len(a) - len(b) + 1, 0))
-    while a and len(a) - 1 >= db:
-        la = a[-1]
-        if la % lb:
-            raise ArithmeticError("inexact polynomial division")
-        qc = la // lb
-        shift = len(a) - 1 - db
-        out[shift] = qc
-        a = _znorm(_zadd(a, _zneg([0] * shift + _zscale(b, qc))))
-    if a:
-        raise ArithmeticError("inexact polynomial division")
-    return _znorm(out)
-
-
-# --- Z[nu][q]: lists over q-degree of Z[nu] lists --------------------------
-
-
-def _bnorm(a):
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def _badd(a, b):
-    n = max(len(a), len(b))
-    out = [[] for _ in range(n)]
-    for i, c in enumerate(a):
-        out[i] = _zadd(out[i], c)
-    for i, c in enumerate(b):
-        out[i] = _zadd(out[i], c)
-    return _bnorm(out)
-
-
-def _bneg(a):
-    return [_zneg(c) for c in a]
-
-
-def _bmulz(a, p):
-    """Multiply every q-coefficient by the Z[nu] element p."""
-    return _bnorm([_zmul(c, p) for c in a])
-
-
-def _bcontent(a):
-    g = []
-    for c in a:
-        g = _zgcd(g, c)
-        if g == [1] or g == [-1]:
-            return [1]
-    if g and g[-1] < 0:
-        g = _zneg(g)
-    return g
-
-
-def _bprim(a):
-    g = _bcontent(a)
-    if not g or g == [1]:
-        return a
-    return [_zdivexact(c, g) if c else [] for c in a]
-
-
-def _bprem(a, b):
-    """Pseudo-remainder in Z[nu][q]: a <- lc(b)*a - lc(a)*q^k*b."""
-    a = [list(c) for c in a]
-    db, lb = len(b) - 1, b[-1]
-    while a and len(a) - 1 >= db:
-        la = a[-1]
-        shift = len(a) - 1 - db
-        pad = [[] for _ in range(shift)]
-        a = _bnorm(_badd(_bmulz(a, lb), _bneg(pad + _bmulz(b, la))))
-    return a
-
-
-def _bgcd(a, b):
-    if not a:
-        return b
-    if not b:
-        return a
-    ca, cb = _bcontent(a), _bcontent(b)
-    c = _zgcd(ca, cb)
-    a = [_zdivexact(x, ca) if x else [] for x in a]
-    b = [_zdivexact(x, cb) if x else [] for x in b]
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        r = _bprem(a, b)
-        a, b = b, _bprim(r)
-    return _bmulz(a, c)
-
-
-def _bdivexact(a, b):
-    a = [list(c) for c in a]
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    db, lb = len(b) - 1, b[-1]
-    out = [[] for _ in range(max(len(a) - len(b) + 1, 0))]
-    while a and len(a) - 1 >= db:
-        qc = _zdivexact(a[-1], lb)
-        shift = len(a) - 1 - db
-        out[shift] = qc
-        a = _bnorm(_badd(a, _bneg([[] for _ in range(shift)] + _bmulz(b, qc))))
-    if a:
-        raise ArithmeticError("inexact polynomial division")
-    return _bnorm(out)
-
-
-# --- dict <-> dense conversion --------------------------------------------
-
-
-def _to_dense(terms):
-    """Shift a Laurent term dict to nonnegative exponents and densify.
-
-    Returns (dense, (min_q, min_nu)) so callers can undo the shift."""
-    minq = min(e[0] for e in terms)
-    minn = min(e[1] for e in terms)
-    maxq = max(e[0] for e in terms)
-    maxn = max(e[1] for e in terms)
-    out = [[0] * (maxn - minn + 1) for _ in range(maxq - minq + 1)]
-    for (zq, zn), c in terms.items():
-        out[zq - minq][zn - minn] = c
-    return _bnorm([_znorm(row) for row in out]), (minq, minn)
-
-
-def _to_terms(dense):
-    out = {}
-    for i, row in enumerate(dense):
-        for j, c in enumerate(row):
-            if c:
-                out[(i, j)] = c
-    return out
 
 
 def _shift_min(terms):
@@ -239,11 +21,9 @@ def reduce_fraction(num_terms, den_terms):
     """Divide out the polynomial gcd of a numerator/denominator term-dict
     pair.  Returns new dicts (exponents shifted; callers renormalize
     monomial content afterwards)."""
-    try:
-        from sympy import ZZ
-        from sympy.polys.rings import ring
-    except ImportError:
-        return _reduce_fraction_prs(num_terms, den_terms)
+    from sympy import ZZ
+    from sympy.polys.rings import ring
+
     global _RING
     if _RING is None:
         _RING = ring("q, v", ZZ)[0]
@@ -264,17 +44,3 @@ def reduce_fraction(num_terms, den_terms):
 
 
 _RING = None
-
-
-def _reduce_fraction_prs(num_terms, den_terms):
-    a, (nq, nn) = _to_dense(num_terms)
-    b, (dq, dn) = _to_dense(den_terms)
-    g = _bgcd(a, b)
-    if len(g) == 1 and len(g[0]) == 1 and g[0][0] in (1, -1):
-        return num_terms, den_terms
-    nt = _to_terms(_bdivexact(a, g))
-    dt = _to_terms(_bdivexact(b, g))
-    # undo the relative monomial shift so the fraction's value is unchanged
-    if (nq, nn) != (dq, dn):
-        nt = {(zq + nq - dq, zn + nn - dn): c for (zq, zn), c in nt.items()}
-    return nt, dt

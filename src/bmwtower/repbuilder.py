@@ -211,8 +211,6 @@ def build_rep(lam, n, field=SYMBOLIC, flip=False, verify=True):
     kappa = []
     blocks = {}
     repaired = []
-    u = field.q - field.q_pow(-1)
-    nu_u = field.nu * u
     for i in range(1, n):
         sig = Matrix.zero(dim, dim, field)
         kap = Matrix.zero(dim, dim, field)
@@ -236,7 +234,6 @@ def build_rep(lam, n, field=SYMBOLIC, flip=False, verify=True):
                         f"nonzero kappa on a {b.case.tag} block at i={i}"
                     )
             _scatter(sig, b, sb)
-        _ = nu_u  # kappa on 3a/3b blocks is exactly zero, nothing to scale
         if i >= 2:
             # block-local gauges need not be mutually braid-consistent;
             # align position i against the already-fixed position i-1

@@ -1,10 +1,11 @@
 """Exact arithmetic in the coefficient field Q(q, nu).
 
 Elements are fractions of integer-coefficient Laurent polynomials in the
-two variables q and nu.  Fractions are kept normalized only up to monomial
-content and integer content; no multivariate gcd is attempted.  Equality is
-decided by cross-multiplication, which is exact and cheap at the sizes this
-package works at.
+two variables q and nu.  Whenever numerator and denominator both have more
+than one term, their bivariate polynomial gcd is divided out
+(``polygcd.reduce_fraction``); monomial content and integer content are
+always normalized away.  Equality is decided by cross-multiplication, which
+is exact whether or not a pair was reduced.
 
 A ``GenericSpecialization`` maps everything to ``fractions.Fraction`` for
 fast numeric runs; ``check_generic`` guards the eigenvalue-separation
@@ -269,27 +270,6 @@ class ScalarFraction:
 
     def __repr__(self):
         return f"<{format_scalar(self)}>"
-
-
-def field_add(x, y):
-    return x + y
-
-
-def field_sub(x, y):
-    return x - y
-
-
-def field_mul(x, y):
-    return x * y
-
-
-def field_invert(x):
-    return x.invert()
-
-
-def scalar_eq(x, y):
-    """Equality by cross-multiplication; no gcd reduction required."""
-    return x == y
 
 
 class SymbolicField:

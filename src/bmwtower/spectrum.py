@@ -40,10 +40,6 @@ class LocalCase:
     power: int = 0     # for 3a: the q-shift b = q^(2*power) * a, power = +-1
 
 
-def token_value(tok, field):
-    return field.token_value(tok)
-
-
 def content_string(path, flip=False):
     """Token string of a path; flip swaps the content sign convention."""
     sign = -1 if flip else 1

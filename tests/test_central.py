@@ -75,6 +75,14 @@ class TestCentralScalars:
         scalars = cen.central_scalars(cached_rep((1,), 3))
         assert scalars["Zp"][1] == expected
 
+    def test_one_at_3_power_sums_beyond_3(self):
+        # y_1 = 1 and y_2 y_3 = nu^2 on every path, so the y_2 and y_3
+        # terms cancel and Z^(p) = 1 - nu^(2p)
+        scalars = cen.central_scalars(cached_rep((1,), 3), max_power=5)
+        assert sorted(scalars["Zp"]) == list(range(6))
+        for p, value in scalars["Zp"].items():
+            assert value == SYMBOLIC.one - SYMBOLIC.nu_pow(2 * p)
+
     def test_power_sum_p0_vanishes_nowhere_special(self):
         # Z^(0) = sum (1 - nu^0... ) = n(1 - nu^0)? No: p=0 gives
         # sum_k (1 - 1) = 0 exactly on every irrep.

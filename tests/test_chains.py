@@ -8,7 +8,7 @@ import pytest
 
 from bmwtower import chains
 from bmwtower import repbuilder as rb
-from bmwtower.scalars import SYMBOLIC
+from bmwtower.scalars import SYMBOLIC, GenericSpecialization, NonGenericPoint
 
 from conftest import RATIONAL, cached_rep
 
@@ -67,8 +67,6 @@ class TestClosedForms:
         assert abs(got - expected) < 1e-12
 
     def test_nu_plus_a_singular(self):
-        from bmwtower.scalars import GenericSpecialization
-
         # nu = 1/q makes the kappa coefficient denominator vanish for a = -1/q
         s = GenericSpecialization(Fraction(2), Fraction(1, 2))
         rep = rb.build_rep((2,), 2, field=s)
@@ -102,6 +100,13 @@ class TestSpectra:
         got = chains.eigenvalues_numeric(h, RATIONAL)
         for r in roots:
             assert min(abs(r - g) for g in got) < 1e-8
+
+    def test_non_generic_point_rejected(self):
+        # nu = 1/q gives nu^2 q^2 = 1; every entry of the symbolic rep still
+        # specializes there, so only the genericity check can object
+        h = chains.hamiltonian(cached_rep((1,), 3), std_params())
+        with pytest.raises(NonGenericPoint):
+            chains.eigenvalues_numeric(h, GenericSpecialization(2, Fraction(1, 2)))
 
     def test_sorted_output(self):
         h = chains.hamiltonian(cached_rep((), 4, "rational"), std_params())

@@ -5,12 +5,13 @@ from fractions import Fraction
 import pytest
 
 from bmwtower import combinatorics as comb
+from bmwtower import gauge
 from bmwtower import repbuilder as rb
 from bmwtower.linalg import Matrix
 from bmwtower.scalars import SYMBOLIC
 from bmwtower.spectrum import Token
 
-from conftest import RATIONAL, cached_rep, level_vertices
+from conftest import RATIONAL, cached_rep, cached_report, level_vertices
 
 Q = SYMBOLIC.q
 NU = SYMBOLIC.nu
@@ -89,7 +90,7 @@ class TestSmallReps:
     def test_one_at_3_verifies(self):
         rep = cached_rep((1,), 3)
         assert rep.dim == 3
-        assert rb.verify_relations(rep).ok
+        assert cached_report((1,), 3).ok
 
     def test_perturbed_rep_fails_braid(self):
         rep = cached_rep((1,), 3)
@@ -106,7 +107,7 @@ class TestRelationSuite:
     @pytest.mark.parametrize("n", range(2, 6))
     def test_symbolic(self, n):
         for lam in level_vertices(n):
-            cached_rep(lam, n)  # build_rep verifies; failure raises
+            cached_rep(lam, n)  # a failed verification raises
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_rational(self, n):
@@ -174,6 +175,36 @@ class TestGaugeInvariance:
     def test_repair_is_recorded(self):
         rep = cached_rep((2,), 4, "rational")
         assert rep.repaired_positions == (3,)
+
+    @staticmethod
+    def _repair(sig):
+        """Repair sigma_3 of (2,)@4 against the built sigma_2, kappa_1, sigma_1."""
+        rep = cached_rep((2,), 4, "rational")
+        return gauge.repair_position(
+            rep.sigma[1], sig, rep.kappa[2], rep.blocks[3], RATIONAL,
+            commuters=[rep.sigma[0], rep.kappa[0]],
+        )
+
+    def test_repair_restores_braid_and_locality(self):
+        rep = cached_rep((2,), 4, "rational")
+        scales = [1, Fraction(3, 2), 1, Fraction(-5, 7), Fraction(11, 4), 1]
+        sig, _, found = self._repair(
+            gauge.apply_diagonal(rep.sigma[2], scales, RATIONAL)
+        )
+        assert found is not None
+        prev = rep.sigma[1]
+        assert (prev * sig * prev).equals(sig * prev * sig)
+        for mat in (rep.sigma[0], rep.kappa[0]):
+            assert (mat * sig).equals(sig * mat)
+
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 2), (3, 4), (5, 5)])
+    def test_repair_rejects_non_gauge_sigma(self, entry):
+        """A diagonal gauge cannot absorb a change to one entry of sigma."""
+        bad = cached_rep((2,), 4, "rational").sigma[2].copy()
+        i, j = entry
+        bad.rows[i][j] = bad.rows[i][j] + 1
+        with pytest.raises(gauge.GaugeRepairFailed):
+            self._repair(bad)
 
 
 class TestSerialization:
