@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Every command produces deterministic output (sorted keys, canonical
-vertex ordering) and exits 0 exactly when all requested checks pass.
+vertex ordering) and exits 0 exactly when all requested checks pass, 1
+when one fails, and 2, with a one-line message on stderr, when the
+arguments name no level, partition or generic point it can use.
 """
 
 from __future__ import annotations
@@ -55,15 +57,18 @@ def _build_parser():
     return p
 
 
+def _point(args):
+    """The rational point (--q, --nu), checked generic at level --n."""
+    s = GenericSpecialization(Fraction(args.q), Fraction(args.nu))
+    if not check_generic(s, args.n):
+        raise NonGenericPoint(
+            f"(q={s.q_value}, nu={s.nu_value}) is not generic at level {args.n}"
+        )
+    return s
+
+
 def _field(args):
-    if args.mode == "rational":
-        s = GenericSpecialization(Fraction(args.q), Fraction(args.nu))
-        if not check_generic(s, args.n):
-            raise NonGenericPoint(
-                f"(q={s.q_value}, nu={s.nu_value}) is not generic at level {args.n}"
-            )
-        return s
-    return SYMBOLIC
+    return _point(args) if args.mode == "rational" else SYMBOLIC
 
 
 def _formatter(field):
@@ -74,8 +79,21 @@ def _formatter(field):
 
 def _parse_lam(args):
     if args.lam is None:
-        raise SystemExit("this command needs --lambda")
+        raise ValueError("this command needs --lambda")
     return comb.parse_partition(args.lam)
+
+
+def _validate(args):
+    """Raise ValueError, ZeroDivisionError or NonGenericPoint when the
+    arguments name no level, partition or point the command can use."""
+    if args.n < 0:
+        raise ValueError(f"level must be >= 0, got --n {args.n}")
+    if args.command in ("rep", "verify", "central"):
+        _field(args)
+    if args.command in ("rep", "hamiltonian"):
+        comb.dim(_parse_lam(args), args.n)  # NotAVertex unless a level-n vertex
+    if args.command == "hamiltonian":
+        _point(args)
 
 
 def run(args):
@@ -135,11 +153,7 @@ def run(args):
 
     if args.command == "hamiltonian":
         lam = _parse_lam(args)
-        s = GenericSpecialization(Fraction(args.q), Fraction(args.nu))
-        if not check_generic(s, args.n):
-            raise NonGenericPoint(
-                f"(q={s.q_value}, nu={s.nu_value}) is not generic at level {args.n}"
-            )
+        s = _point(args)
         rep = rb.build_rep(lam, args.n, field=s, flip=flip)
         if args.xi_re is None and args.xi_im is None:
             params = chains.ChainParams.standard(args.a, s.q_value, s.nu_value)
@@ -155,7 +169,13 @@ def run(args):
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    """Exit status 0: all checks pass; 1: a check failed; 2: a usage error."""
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    try:
+        _validate(args)
+    except (ValueError, ZeroDivisionError, NonGenericPoint) as exc:
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
     status, text = run(args)
     if not text.endswith("\n"):
         text += "\n"

@@ -40,7 +40,11 @@ def parse_partition(text):
     text = text.strip()
     if not text:
         return ()
-    return check_partition(tuple(int(p) for p in text.split(",")))
+    try:
+        rows = tuple(int(p) for p in text.split(","))
+    except ValueError:
+        raise ValueError(f"not a comma-separated list of row lengths: {text!r}") from None
+    return check_partition(rows)
 
 
 def format_partition(lam):

@@ -13,6 +13,17 @@ def run_cli(argv, capsys):
     return status, capsys.readouterr().out
 
 
+def assert_usage_error(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("bmwtower: error: ")
+    assert message in err
+    assert err.count("\n") == 1
+
+
 class TestDims:
     def test_identity_summary(self, capsys):
         status, out = run_cli(["dims", "--n", "5"], capsys)
@@ -67,8 +78,24 @@ class TestVerify:
     def test_nongeneric_point_rejected(self, capsys):
         from bmwtower.scalars import NonGenericPoint
 
+        argv = ["verify", "--n", "2", "--mode", "rational", "--q", "1"]
         with pytest.raises(NonGenericPoint):
-            cli.main(["verify", "--n", "2", "--mode", "rational", "--q", "1"])
+            cli.run(cli._build_parser().parse_args(argv))
+        assert_usage_error(argv, "is not generic at level 2", capsys)
+
+
+class TestUsageErrors:
+    """Bad arguments exit 2 with one line on stderr, unlike a failed check."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["rep", "--lambda", "9", "--n", "2"], "(9,) is not a level-2 vertex"),
+        (["rep", "--lambda", "x", "--n", "2"], "row lengths: 'x'"),
+        (["verify", "--n", "0", "--mode", "rational"], "level bound must be >= 1"),
+        (["rep", "--n", "2"], "this command needs --lambda"),
+        (["dims", "--n", "-1"], "level must be >= 0"),
+    ])
+    def test_exit_2(self, argv, message, capsys):
+        assert_usage_error(argv, message, capsys)
 
 
 class TestCentral:
