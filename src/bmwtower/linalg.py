@@ -2,8 +2,12 @@
 
 Entries are whatever the active field adapter produces (ScalarFraction in
 symbolic mode, fractions.Fraction in rational mode); all that is required
-of them is +, -, *, /, truthiness of nonzero and semantic ==.  Sizes stay
-in the tens, so everything is plain dense Gauss-Jordan.
+of them is +, -, *, /, truthiness of nonzero and semantic ==.  Storage is
+dense, but the elementwise kernels and products skip zero entries, since
+the seminormal generators are mostly zeros, and the diagonal of a diagonal
+matrix (a Jucys-Murphy element) is read off directly with
+``diagonal_entries``.  Sizes stay in the tens to low hundreds, so inversion
+and linear solves are plain Gauss-Jordan.
 """
 
 from __future__ import annotations
@@ -49,14 +53,16 @@ class Matrix:
 
     def __add__(self, other):
         return Matrix(
-            [[a + b for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)],
+            [[a + b if b else a for a, b in zip(r, s)]
+             for r, s in zip(self.rows, other.rows)],
             self.field,
             _copy=False,
         )
 
     def __sub__(self, other):
         return Matrix(
-            [[a - b for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)],
+            [[a - b if b else a for a, b in zip(r, s)]
+             for r, s in zip(self.rows, other.rows)],
             self.field,
             _copy=False,
         )
@@ -65,7 +71,9 @@ class Matrix:
         return Matrix([[-a for a in r] for r in self.rows], self.field, _copy=False)
 
     def scale(self, c):
-        return Matrix([[c * a for a in r] for r in self.rows], self.field, _copy=False)
+        return Matrix(
+            [[c * a if a else a for a in r] for r in self.rows], self.field, _copy=False
+        )
 
     def __mul__(self, other):
         z = self.field.zero
@@ -87,6 +95,15 @@ class Matrix:
         for i in range(self.n):
             out.rows[i][i] = out.rows[i][i] + c
         return out
+
+    def diagonal_entries(self):
+        """The diagonal of a square diagonal matrix; ValueError otherwise."""
+        if self.n != self.m:
+            raise ValueError(f"a {self.n}x{self.m} matrix has no diagonal")
+        for i, row in enumerate(self.rows):
+            if any(row[:i]) or any(row[i + 1:]):
+                raise ValueError(f"matrix has a nonzero off-diagonal entry in row {i}")
+        return [row[i] for i, row in enumerate(self.rows)]
 
     @property
     def is_zero(self):

@@ -474,8 +474,9 @@ def _is_diagonal(mat):
 def conjugate_diagonal(rep, scales):
     """Gauge transform by an invertible diagonal matrix (for invariance tests)."""
     f = rep.field
-    d = Matrix.diagonal(list(scales), f)
-    dinv = d.inverse()
+    scales = list(scales)
+    d = Matrix.diagonal(scales, f)
+    dinv = Matrix.diagonal([f.one / x for x in scales], f)
     return SeminormalRep(
         rep.lam,
         rep.n,

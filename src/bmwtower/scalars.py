@@ -347,9 +347,11 @@ def check_generic(s, n):
 
     Needs: all values nu^(2e) q^(2z) for e in {0,1}, |z| <= n pairwise
     distinct; q^(2z) != 1 for 0 < |z| <= 2n; nu^2 q^(2z) != 1 for |z| <= 2n.
+    Level 0 is held to the level-1 conditions, so nu^2 = 1 is never generic.
     """
-    if n < 1:
-        raise ValueError("level bound must be >= 1")
+    if n < 0:
+        raise ValueError(f"level bound must be >= 0, got {n}")
+    n = max(n, 1)
     values = set()
     count = 0
     for e in (0, 1):

@@ -4,7 +4,12 @@ from fractions import Fraction
 import pytest
 
 from bmwtower.combinatorics import build_graph
-from bmwtower.repbuilder import VerificationFailed, build_rep, verify_relations
+from bmwtower.repbuilder import (
+    SeminormalRep,
+    VerificationFailed,
+    build_rep,
+    verify_relations,
+)
 from bmwtower.scalars import SYMBOLIC, GenericSpecialization
 
 RATIONAL = GenericSpecialization(Fraction(2), Fraction(3))
@@ -29,6 +34,26 @@ def cached_rep(lam, n, mode="symbolic"):
 def cached_report(lam, n, mode="symbolic"):
     """The report of the session's one verification pass of the irrep."""
     return _built(lam, n, mode)[1]
+
+
+def replace_parts(rep, **fields):
+    """Copy of rep with some of sigma, kappa, y, blocks replaced."""
+    parts = dict(sigma=rep.sigma, kappa=rep.kappa, y=rep.y, blocks=rep.blocks)
+    parts.update(fields)
+    return SeminormalRep(
+        rep.lam, rep.n, rep.paths, rep.strings, parts["sigma"], parts["kappa"],
+        parts["y"], parts["blocks"], rep.field, rep.flip,
+    )
+
+
+def set_entries(mats, index, entries):
+    """Copy of a matrix list with entries {(r, c): value} set in mats[index]."""
+    out = list(mats)
+    mat = out[index].copy()
+    for (r, c), value in entries.items():
+        mat.rows[r][c] = value
+    out[index] = mat
+    return out
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,12 +1,17 @@
-"""Dense relation verifier: the reference for the block-local one.
+"""Dense references for the structured code in ``bmwtower``.
 
-Every relation is proven with dim x dim products, and sigma^{-1} comes
-from Gauss-Jordan elimination, so nothing here relies on the block
-structure of the seminormal generators.  It is slow and kept for tests
-at small n only; a singular sigma raises ``SingularMatrix``.
+The relation verifier proves every relation with dim x dim products, and
+sigma^{-1} comes from Gauss-Jordan elimination, so nothing here relies on
+the block structure of the seminormal generators; a singular sigma raises
+``SingularMatrix``.  The central scalars, power sums and intertwiners
+treat every y as a dense matrix: powers are repeated products, inverses
+come from Gauss-Jordan, and a non-diagonal y gives a verdict, not an
+error.  The chain's bulk sum adds every entry, zero or not.  All of it is
+slow and kept for tests at small n only.
 """
 
 from bmwtower import central as cen
+from bmwtower.central import CentralityViolated
 from bmwtower.linalg import Matrix
 from bmwtower.repbuilder import Report
 
@@ -104,3 +109,92 @@ def _zhat_diagonals(rep, i, order):
         Matrix.diagonal([cols[k][p] for k in range(rep.dim)], f)
         for p in range(order + 1)
     ]
+
+
+def dense_power_sum(rep, p):
+    """The power sum Z^(p) = sum_j (y_j^p - nu^(2p) y_j^(-p)) as a matrix."""
+    f = rep.field
+    total = Matrix.zero(rep.dim, rep.dim, f)
+    nu2p = f.nu_pow(2 * p)
+    for y in rep.y:
+        yp = Matrix.identity(rep.dim, f)
+        for _ in range(p):
+            yp = yp * y
+        total = total + yp - yp.inverse().scale(nu2p)
+    return total
+
+
+def dense_central_scalars(rep, max_power=3):
+    """Scalars by which Z = y_1...y_n and Z^(0..max_power) act; raises
+    if any is non-scalar."""
+    z = Matrix.identity(rep.dim, rep.field)
+    for y in rep.y:
+        z = z * y
+    c = z.is_scalar()
+    if c is None:
+        raise CentralityViolated("product of JM elements is not scalar")
+    out = {"Z": c, "Zp": {}}
+    for p in range(max_power + 1):
+        s = dense_power_sum(rep, p).is_scalar()
+        if s is None:
+            raise CentralityViolated(f"power sum p={p} is not scalar")
+        out["Zp"][p] = s
+    return out
+
+
+def dense_intertwiner(rep, k):
+    """U_{k+1} = [sigma_k, y_k - nu^2 y_{k+1}^{-1}] inside the rep (1-based k)."""
+    f = rep.field
+    nu2 = f.nu_pow(2)
+    yk = rep.y[k - 1]
+    yk1 = rep.y[k]
+    s = rep.sigma[k - 1]
+    arg = yk - yk1.inverse().scale(nu2)
+    return s * arg - arg * s
+
+
+def dense_intertwiner_checks(rep, k):
+    """All exchange, product, braid and kappa identities for U_{k+1}."""
+    f = rep.field
+    q = f.q
+    qinv = f.q_pow(-1)
+    nu2 = f.nu_pow(2)
+    yk = rep.y[k - 1]
+    yk1 = rep.y[k]
+    u = dense_intertwiner(rep, k)
+    checks = []
+    checks.append(("U_swaps_y_k", k, (u * yk).equals(yk1 * u)))
+    checks.append(("U_swaps_y_k1", k, (u * yk1).equals(yk * u)))
+    for i in range(1, rep.n + 1):
+        if i in (k, k + 1):
+            continue
+        checks.append((f"U_commutes_y_{i}", k, (u * rep.y[i - 1]).equals(rep.y[i - 1] * u)))
+    s = rep.sigma[k - 1]
+    lhs = u * (s * yk - yk * s)
+    rhs = (
+        (yk.scale(q) - yk1.scale(qinv))
+        * (yk1.scale(q) - yk.scale(qinv))
+        * (Matrix.identity(rep.dim, f) - (yk * yk1).inverse().scale(nu2))
+    )
+    checks.append(("U_product_identity", k, lhs.equals(rhs)))
+    if k >= 2:
+        uprev = dense_intertwiner(rep, k - 1)
+        checks.append(
+            ("U_braid", k, (u * uprev * u).equals(uprev * u * uprev))
+        )
+    kap = rep.kappa[k - 1]
+    checks.append(("kappa_U_zero", k, (kap * u).is_zero and (u * kap).is_zero))
+    return checks
+
+
+def dense_bulk(rep, coeff):
+    """sum_m (sigma_m + coeff kappa_m), entry by entry over every entry."""
+    f = rep.field
+    rows = [[f.zero] * rep.dim for _ in range(rep.dim)]
+    for m in range(rep.n - 1):
+        sig = rep.sigma[m].rows
+        kap = rep.kappa[m].rows
+        for r in range(rep.dim):
+            for c in range(rep.dim):
+                rows[r][c] = rows[r][c] + sig[r][c] + coeff * kap[r][c]
+    return Matrix(rows, f, _copy=False)

@@ -90,12 +90,28 @@ class TestUsageErrors:
     @pytest.mark.parametrize("argv, message", [
         (["rep", "--lambda", "9", "--n", "2"], "(9,) is not a level-2 vertex"),
         (["rep", "--lambda", "x", "--n", "2"], "row lengths: 'x'"),
-        (["verify", "--n", "0", "--mode", "rational"], "level bound must be >= 1"),
+        (["verify", "--n", "0", "--mode", "rational", "--nu", "1"],
+         "(q=2, nu=1) is not generic at level 0"),
         (["rep", "--n", "2"], "this command needs --lambda"),
         (["dims", "--n", "-1"], "level must be >= 0"),
     ])
     def test_exit_2(self, argv, message, capsys):
         assert_usage_error(argv, message, capsys)
+
+
+class TestLevelZero:
+    """Level 0 has one irrep, the empty diagram, in both modes."""
+
+    @pytest.mark.parametrize("mode", ["symbolic", "rational"])
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--n", "0"],
+        ["central", "--n", "0"],
+        ["rep", "--lambda", "", "--n", "0"],
+    ])
+    def test_exit_0(self, argv, mode, capsys):
+        status, out = run_cli(argv + ["--mode", mode], capsys)
+        assert status == 0
+        assert json.loads(out)
 
 
 class TestCentral:

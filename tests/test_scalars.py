@@ -146,6 +146,18 @@ class TestCheckGeneric:
         # nu^2 q^-4 = 16/16 = 1 collides with the trivial token
         assert not check_generic(GenericSpecialization(2, 4), 2)
 
+    def test_level_0_takes_the_level_1_conditions(self):
+        assert check_generic(GenericSpecialization(2, 3), 0)
+        # nu^2 = 1 is never generic; q^2 = nu^2 fails at level 1 already
+        for q, nu in [(2, 1), (2, -1), (2, 2), (1, 3)]:
+            point = GenericSpecialization(q, nu)
+            assert not check_generic(point, 0)
+            assert check_generic(point, 0) == check_generic(point, 1)
+
+    def test_negative_level_rejected(self):
+        with pytest.raises(ValueError, match="level bound must be >= 0"):
+            check_generic(GenericSpecialization(2, 3), -1)
+
 
 class TestFormatParse:
     def test_example_form(self):

@@ -7,7 +7,13 @@ import pytest
 from bmwtower import repbuilder as rb
 from bmwtower.linalg import Matrix, SingularMatrix
 
-from conftest import cached_rep, cached_report, level_vertices
+from conftest import (
+    cached_rep,
+    cached_report,
+    level_vertices,
+    replace_parts,
+    set_entries,
+)
 from dense_oracle import dense_verify_relations
 
 
@@ -24,25 +30,6 @@ def _relations(report):
     )
 
 
-def _replace(rep, **fields):
-    parts = dict(sigma=rep.sigma, kappa=rep.kappa, y=rep.y, blocks=rep.blocks)
-    parts.update(fields)
-    return rb.SeminormalRep(
-        rep.lam, rep.n, rep.paths, rep.strings, parts["sigma"], parts["kappa"],
-        parts["y"], parts["blocks"], rep.field, rep.flip,
-    )
-
-
-def _set_entries(mats, index, entries):
-    """Copy of a matrix list with entries {(r, c): value} set in mats[index]."""
-    out = list(mats)
-    mat = out[index].copy()
-    for (r, c), value in entries.items():
-        mat.rows[r][c] = value
-    out[index] = mat
-    return out
-
-
 def _perturbations(rep):
     """(label, perturbed rep) pairs, each breaking one entry or block."""
     f = rep.field
@@ -51,21 +38,21 @@ def _perturbations(rep):
         first = blocks[0].members
         r, c = first[0], first[-1]
         bumped = rep.sigma[i - 1].rows[r][c] + f.one
-        yield f"in-block sigma_{i}", _replace(
-            rep, sigma=_set_entries(rep.sigma, i - 1, {(r, c): bumped}))
+        yield f"in-block sigma_{i}", replace_parts(
+            rep, sigma=set_entries(rep.sigma, i - 1, {(r, c): bumped}))
         if len(blocks) > 1:
             other = blocks[1].members[0]
-            yield f"off-block sigma_{i}", _replace(
-                rep, sigma=_set_entries(rep.sigma, i - 1, {(r, other): f.one}))
-            yield f"off-block kappa_{i}", _replace(
-                rep, kappa=_set_entries(rep.kappa, i - 1, {(other, r): f.one}))
+            yield f"off-block sigma_{i}", replace_parts(
+                rep, sigma=set_entries(rep.sigma, i - 1, {(r, other): f.one}))
+            yield f"off-block kappa_{i}", replace_parts(
+                rep, kappa=set_entries(rep.kappa, i - 1, {(other, r): f.one}))
         zeros = {(a, b): f.zero for a in first for b in first}
-        yield f"singular sigma_{i} block", _replace(
-            rep, sigma=_set_entries(rep.sigma, i - 1, zeros))
+        yield f"singular sigma_{i} block", replace_parts(
+            rep, sigma=set_entries(rep.sigma, i - 1, zeros))
     if rep.dim > 1:
         for j in range(rep.n):
-            yield f"off-diagonal y_{j + 1}", _replace(
-                rep, y=_set_entries(rep.y, j, {(0, rep.dim - 1): f.one}))
+            yield f"off-diagonal y_{j + 1}", replace_parts(
+                rep, y=set_entries(rep.y, j, {(0, rep.dim - 1): f.one}))
 
 
 @pytest.mark.parametrize("mode", ["symbolic", "rational"])
@@ -106,7 +93,7 @@ def test_block_structure_rejects_a_non_partition():
     rep = cached_rep((1,), 5, "rational")
     blocks = dict(rep.blocks)
     blocks[2] = blocks[2][1:]
-    report = rb.verify_relations(_replace(rep, blocks=blocks))
+    report = rb.verify_relations(replace_parts(rep, blocks=blocks))
     assert [(c.name, c.index) for c in report.failures()] == [("block_structure", 2)]
 
 
