@@ -83,9 +83,22 @@ def _parse_lam(args):
     return comb.parse_partition(args.lam)
 
 
+def _chain_params(args, s):
+    """The chain's boundary data at the point s; SingularParameter when xi
+    is 1 or, given by --xi-re/--xi-im, does not square to -a*nu."""
+    if args.xi_re is None and args.xi_im is None:
+        params = chains.ChainParams.standard(args.a, s.q_value, s.nu_value)
+    else:
+        xi = complex(args.xi_re or 0.0, args.xi_im or 0.0)
+        params = chains.ChainParams(args.a, xi)
+    params.check_xi(s.q_value, s.nu_value)
+    return params
+
+
 def _validate(args):
-    """Raise ValueError, ZeroDivisionError or NonGenericPoint when the
-    arguments name no level, partition or point the command can use."""
+    """Raise ValueError, ZeroDivisionError, NonGenericPoint or
+    SingularParameter when the arguments name no level, partition, point or
+    chain the command can use."""
     if args.n < 0:
         raise ValueError(f"level must be >= 0, got --n {args.n}")
     if args.command in ("rep", "verify", "central"):
@@ -93,7 +106,7 @@ def _validate(args):
     if args.command in ("rep", "hamiltonian"):
         comb.dim(_parse_lam(args), args.n)  # NotAVertex unless a level-n vertex
     if args.command == "hamiltonian":
-        _point(args)
+        _chain_params(args, _point(args))
 
 
 def run(args):
@@ -155,12 +168,7 @@ def run(args):
         lam = _parse_lam(args)
         s = _point(args)
         rep = rb.build_rep(lam, args.n, field=s, flip=flip)
-        if args.xi_re is None and args.xi_im is None:
-            params = chains.ChainParams.standard(args.a, s.q_value, s.nu_value)
-        else:
-            xi = complex(args.xi_re or 0.0, args.xi_im or 0.0)
-            params = chains.ChainParams(args.a, xi)
-        h = chains.hamiltonian(rep, params)
+        h = chains.hamiltonian(rep, _chain_params(args, s))
         buf = io.StringIO()
         chains.spectrum_csv(h, s, buf)
         return 0, buf.getvalue()
@@ -174,7 +182,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         _validate(args)
-    except (ValueError, ZeroDivisionError, NonGenericPoint) as exc:
+    except (ValueError, ZeroDivisionError, NonGenericPoint,
+            chains.SingularParameter) as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
     status, text = run(args)
     if not text.endswith("\n"):

@@ -10,6 +10,14 @@ sharing everything except the level-i diagram.  A block is
   rank-one matrix whose weights solve a Vandermonde system against the
   central generating-function scalars, and sigma is forced entrywise.
 
+The relations at one position fix each block up to one scale per member.
+Those scales are chosen by a closed formula in the block's own data
+(``kappa_block``, ``_partner_scale``): kappa in the all-ones row gauge,
+and the off-diagonal pair of each 3b block from its tokens and the kappa
+weights of the steps out of lambda_{i-1}.  That choice is consistent
+across positions, so no gauge is solved for; the braid identity with the
+previous position is still tested while building.
+
 Every built representation is verified against the full defining relation
 list before being returned.  In this basis sigma_i and kappa_i only mix
 paths of one block at position i and every y is diagonal, so relations at
@@ -48,7 +56,7 @@ class VerificationFailed(RuntimeError):
         self.report = report
         failures = [c for c in report.checks if not c.ok]
         super().__init__(
-            "relation verification failed after gauge repair: "
+            "relation verification failed: "
             + "; ".join(f"{c.name}[i={c.index}]" for c in failures[:8])
         )
 
@@ -77,7 +85,6 @@ class SeminormalRep:
     blocks: dict      # position i -> list of Block
     field: object
     flip: bool = False
-    repaired_positions: tuple = ()
 
     @property
     def dim(self):
@@ -115,18 +122,13 @@ def _canonical_paths(lam, n, flip=False):
     return paths
 
 
-def block_decompose(lam, n, i, flip=False):
-    """Blocks of coupled paths at position i (1 <= i <= n-1)."""
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"position {i} out of range for level {n}")
-    paths = _canonical_paths(lam, n, flip=flip)
-    strings = [spec.content_string(p, flip=flip) for p in paths]
+def _group_blocks(paths, strings, i):
+    """Blocks at position i of the canonical paths and their token strings."""
     groups = {}
     for idx, p in enumerate(paths):
-        key = (p[:i], p[i + 1 :])
-        groups.setdefault(key, []).append(idx)
+        groups.setdefault((p[:i], p[i + 1 :]), []).append(idx)
     blocks = []
-    for (pre, post), members in sorted(groups.items(), key=lambda kv: kv[1][0]):
+    for (pre, post), members in groups.items():
         pairs = tuple((strings[m][i - 1], strings[m][i]) for m in members)
         if pre[i - 1] == post[0]:
             case = spec.LocalCase("4")
@@ -136,31 +138,94 @@ def block_decompose(lam, n, i, flip=False):
     return blocks
 
 
-def kappa_block(block, prefix, field):
-    """Rank-one kappa on a Case-4 block in the all-ones row gauge.
+def block_decompose(lam, n, i, flip=False):
+    """Blocks of coupled paths at position i (1 <= i <= n-1)."""
+    if not 1 <= i <= n - 1:
+        raise ValueError(f"position {i} out of range for level {n}")
+    paths = _canonical_paths(lam, n, flip=flip)
+    strings = [spec.content_string(p, flip=flip) for p in paths]
+    return _group_blocks(paths, strings, i)
 
-    The weight column gamma solves sum_k gamma_k a_k^p = Zhat^(p) for
-    p = 0..2m, where the right-hand side comes from the central
-    generating function evaluated on the shared path prefix.
+
+def kappa_weights(prefix, tokens, field):
+    """Weights gamma of the steps with the given tokens out of a diagram.
+
+    ``tokens`` are the y-tokens of every step out of the diagram reached by
+    the token string ``prefix``, i.e. the members of a Case-4 block there.
+    gamma solves sum_k gamma_k a_k^p = Zhat^(p) for p = 0..2m, where the
+    right-hand side comes from the central generating function evaluated
+    on the prefix.  Returns a dict token -> gamma.
     """
-    s = block.size
-    a_vals = [field.token_value(a) for (a, _) in block.pairs]
+    s = len(tokens)
+    a_vals = [field.token_value(a) for a in tokens]
     for k in range(s):
         for l in range(k + 1, s):
             if a_vals[k] == a_vals[l]:
                 raise DegenerateBlock(
-                    f"repeated eigenvalue in block at i={block.pos}"
+                    f"repeated eigenvalue in block at i={len(prefix) + 1}"
                 )
     zh = cen.zhat_series(prefix, s - 1, field)
     vand = Matrix(
         [[a_vals[k] ** p for k in range(s)] for p in range(s)], field
     )
-    gamma = solve(vand, zh)
-    return Matrix([[gamma[k]] * s for k in range(s)], field)
+    return dict(zip(tokens, solve(vand, zh)))
 
 
-def sigma_block(block, kappa, field):
-    """Sigma on a single block, from the case tag and (for Case 4) kappa."""
+def kappa_block(block, weights, field):
+    """Rank-one kappa on a Case-4 block: every column is the weight column,
+    kappa_kl = gamma_k (the all-ones row gauge)."""
+    return Matrix([[weights[a]] * block.size for (a, _) in block.pairs], field)
+
+
+def _swap_product(a, b, u):
+    """sigma_12 sigma_21 of a two-member block with eigenvalue pair (a, b)."""
+    d = b - a
+    return (d * d - u * u * a * b) / (d * d)
+
+
+def _partner_scale(block, prod, weights, field):
+    """sigma_12 of a 3b block: the braid-consistent normalization.
+
+    Member 1 has the pair (a, b) and member 2 the swapped pair (b, a), and
+    a < b as tokens (canonical order), so member 1 adds a box first when
+    the two steps are of different kinds.  With kappa in the all-ones row
+    gauge, the normalization that makes every position braid-consistent is
+
+    * two added boxes: sigma_12 = 1 (Young's seminormal choice);
+    * two removed boxes: sigma_12 = P gamma(a) / gamma(b), i.e.
+      sigma_21 = gamma(b) / gamma(a);
+    * add a box (token a), then remove one (token b): sigma_12 = gamma(a),
+      times the two-added-box product P(a, nu^2/b) when a.z + b.z < 0,
+      that is when the removed box has the larger content (in the
+      tokens' content convention).
+
+    P = ``prod`` is the block's own product sigma_12 sigma_21, and gamma(t)
+    is the kappa weight of the step with token t out of lambda_{i-1}.
+    Every rule reads tokens only, so it is the same in both field adapters
+    and under the flipped content convention.  ``gauge.repair_position`` tests the
+    braid identity this choice makes hold at every position, and the
+    relation verification proves the rest.
+    """
+    a_tok, b_tok = block.pairs[0]
+    if not b_tok.nu:
+        return field.one
+    if a_tok.nu:
+        return prod * weights[a_tok] / weights[b_tok]
+    scale = weights[a_tok]
+    if a_tok.z + b_tok.z < 0:
+        added = field.token_value(a_tok)
+        removed = field.nu_pow(2) / field.token_value(b_tok)
+        scale = scale * _swap_product(added, removed, field.q - field.q_pow(-1))
+    return scale
+
+
+def sigma_block(block, kappa, weights, field):
+    """Sigma on a single block, from the case tag and (for Case 4) kappa.
+
+    ``weights`` are the kappa weights of the steps out of lambda_{i-1}
+    (see ``kappa_weights``); 3a blocks and 3b blocks of two added boxes
+    do not read them.
+    """
     u = field.q - field.q_pow(-1)
     if block.case.tag == "3a":
         val = field.q if block.case.sign > 0 else -field.q_pow(-1)
@@ -171,13 +236,9 @@ def sigma_block(block, kappa, field):
         d = b - a
         if not d:
             raise NonGenericBlock(f"coincident pair in 3b block at i={block.pos}")
-        return Matrix(
-            [
-                [u * b / d, field.one],
-                [(d * d - u * u * a * b) / (d * d), u * a / (-d)],
-            ],
-            field,
-        )
+        prod = _swap_product(a, b, u)
+        t = _partner_scale(block, prod, weights, field)
+        return Matrix([[u * b / d, t], [prod / t, u * a / (-d)]], field)
     # Case 4: sigma_{kl} (a_k - b_l) = u (kappa_{kl} - delta_{kl}) b_l
     s = block.size
     a_vals = [field.token_value(a) for (a, _) in block.pairs]
@@ -218,20 +279,33 @@ def build_rep(lam, n, field=SYMBOLIC, flip=False, verify=True):
     sigma = []
     kappa = []
     blocks = {}
-    repaired = []
+    # lambda_{i-1} -> kappa weights of the steps out of it; the Zhat scalars
+    # are central, so they depend on lambda_{i-1} only, not on the prefix
+    weights = {}
+
+    def weights_before(i, path, string):
+        alpha = path[i - 1]
+        if alpha not in weights:
+            steps = [spec.content_string((alpha, nb), flip)[0]
+                     for nb in comb.neighbors(alpha)]
+            weights[alpha] = kappa_weights(string[: i - 1], steps, field)
+        return weights[alpha]
+
     for i in range(1, n):
         sig = Matrix.zero(dim, dim, field)
         kap = Matrix.zero(dim, dim, field)
-        blist = block_decompose(lam, n, i, flip=flip)
+        blist = _group_blocks(paths, strings, i)
         blocks[i] = blist
         for b in blist:
+            w = None
+            if b.case.tag == "4" or (b.case.tag == "3b" and b.pairs[0][1].nu):
+                w = weights_before(i, paths[b.members[0]], strings[b.members[0]])
             if b.case.tag == "4":
-                prefix = strings[b.members[0]][: i - 1]
-                kb = kappa_block(b, prefix, field)
-                sb = sigma_block(b, kb, field)
+                kb = kappa_block(b, w, field)
+                sb = sigma_block(b, kb, w, field)
                 _scatter(kap, b, kb)
             else:
-                sb = sigma_block(b, None, field)
+                sb = sigma_block(b, None, w, field)
                 # kappa must vanish on 3a/3b blocks by the quadratic factor
                 ident = Matrix.identity(b.size, field)
                 kb = (ident.scale(field.q) - sb) * (
@@ -243,18 +317,12 @@ def build_rep(lam, n, field=SYMBOLIC, flip=False, verify=True):
                     )
             _scatter(sig, b, sb)
         if i >= 2:
-            # block-local gauges need not be mutually braid-consistent;
-            # align position i against the already-fixed position i-1
-            sig, kap, scales = gauge.repair_position(
-                sigma[-1], sig, kap, blist, field,
-                commuters=sigma[:-1] + kappa[:-1],
-            )
-            if scales is not None:
-                repaired.append(i)
+            # the normalization is braid-consistent by construction; the
+            # braid test against position i-1 guards it
+            sig, kap, _ = gauge.repair_position(sigma[-1], sig, kap, blist, field)
         sigma.append(sig)
         kappa.append(kap)
     rep = SeminormalRep(lam, n, paths, strings, sigma, kappa, y, blocks, field, flip)
-    rep.repaired_positions = tuple(repaired)
     if verify:
         report = verify_relations(rep)
         if not report.ok:
@@ -262,7 +330,7 @@ def build_rep(lam, n, field=SYMBOLIC, flip=False, verify=True):
     return rep
 
 
-def verify_relations(rep, with_zhat=True):
+def verify_relations(rep):
     """Exact checks of every defining relation on the built matrices.
 
     Relations at one position are proven on the blocks of
@@ -388,29 +456,28 @@ def verify_relations(rep, with_zhat=True):
         z = Matrix.diagonal([zhat[pre][p] for pre in lb.prefixes], f)
         return (lb.k * Matrix.diagonal(ypow, f) * lb.k).equals(z * lb.k)
 
-    if with_zhat:
-        for i in range(1, n):
-            m = max(
-                ((b.size - 1) // 2 for b in rep.blocks[i] if b.case.tag == "4"),
-                default=None,
-            )
-            if m is None:
-                continue
-            coupled = [lb for lb in local[i] if not lb.k.is_zero]
-            ypows = [[f.one] * len(lb.a) for lb in coupled]  # Y_i^p diagonals
-            for p in range(2 * m + 1):
-                timed(
-                    "kappa_y_power", i,
-                    lambda: all(
-                        moment_holds(lb, ypow, p, 2 * m)
-                        for lb, ypow in zip(coupled, ypows)
-                    ),
-                    detail=f"p={p}",
-                )
-                ypows = [
-                    [x * a for x, a in zip(ypow, lb.a)]
+    for i in range(1, n):
+        m = max(
+            ((b.size - 1) // 2 for b in rep.blocks[i] if b.case.tag == "4"),
+            default=None,
+        )
+        if m is None:
+            continue
+        coupled = [lb for lb in local[i] if not lb.k.is_zero]
+        ypows = [[f.one] * len(lb.a) for lb in coupled]  # Y_i^p diagonals
+        for p in range(2 * m + 1):
+            timed(
+                "kappa_y_power", i,
+                lambda: all(
+                    moment_holds(lb, ypow, p, 2 * m)
                     for lb, ypow in zip(coupled, ypows)
-                ]
+                ),
+                detail=f"p={p}",
+            )
+            ypows = [
+                [x * a for x, a in zip(ypow, lb.a)]
+                for lb, ypow in zip(coupled, ypows)
+            ]
     return report
 
 

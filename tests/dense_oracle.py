@@ -16,7 +16,7 @@ from bmwtower.linalg import Matrix
 from bmwtower.repbuilder import Report
 
 
-def dense_verify_relations(rep, with_zhat=True):
+def dense_verify_relations(rep):
     """Exact checks of every defining relation on the built matrices."""
     f = rep.field
     n = rep.n
@@ -77,21 +77,20 @@ def dense_verify_relations(rep, with_zhat=True):
             (prod * kap[i]).equals(kap[i].scale(nu2))
             and (kap[i] * prod).equals(kap[i].scale(nu2)),
         )
-    if with_zhat:
-        for i in range(1, n):
-            m = max(
-                ((b.size - 1) // 2 for b in rep.blocks[i] if b.case.tag == "4"),
-                default=None,
-            )
-            if m is None:
-                continue
-            zdiags = _zhat_diagonals(rep, i, 2 * m)
-            ypow = Matrix.identity(rep.dim, f)
-            for p in range(2 * m + 1):
-                lhs = kap[i - 1] * ypow * kap[i - 1]
-                rhs = zdiags[p] * kap[i - 1]
-                report.add("kappa_y_power", i, lhs.equals(rhs), detail=f"p={p}")
-                ypow = ypow * y[i - 1]
+    for i in range(1, n):
+        m = max(
+            ((b.size - 1) // 2 for b in rep.blocks[i] if b.case.tag == "4"),
+            default=None,
+        )
+        if m is None:
+            continue
+        zdiags = _zhat_diagonals(rep, i, 2 * m)
+        ypow = Matrix.identity(rep.dim, f)
+        for p in range(2 * m + 1):
+            lhs = kap[i - 1] * ypow * kap[i - 1]
+            rhs = zdiags[p] * kap[i - 1]
+            report.add("kappa_y_power", i, lhs.equals(rhs), detail=f"p={p}")
+            ypow = ypow * y[i - 1]
     return report
 
 

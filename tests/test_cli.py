@@ -94,6 +94,10 @@ class TestUsageErrors:
          "(q=2, nu=1) is not generic at level 0"),
         (["rep", "--n", "2"], "this command needs --lambda"),
         (["dims", "--n", "-1"], "level must be >= 0"),
+        (["hamiltonian", "--lambda", "1", "--n", "3", "--xi-re", "0.5"],
+         "but -a*nu = "),
+        (["hamiltonian", "--lambda", "1", "--n", "3", "--xi-re", "1"],
+         "xi = 1 makes the boundary term singular"),
     ])
     def test_exit_2(self, argv, message, capsys):
         assert_usage_error(argv, message, capsys)

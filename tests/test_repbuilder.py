@@ -99,7 +99,7 @@ class TestSmallReps:
             [rep.sigma[0], rep.sigma[1].shift(ONE)],
             rep.kappa, rep.y, rep.blocks, rep.field,
         )
-        report = rb.verify_relations(bad, with_zhat=False)
+        report = rb.verify_relations(bad)
         assert any(c.name == "braid" and not c.ok for c in report.checks)
 
 
@@ -172,34 +172,24 @@ class TestGaugeInvariance:
         conj = rb.conjugate_diagonal(rep, scales)
         assert rb.verify_relations(conj).ok
 
-    def test_repair_is_recorded(self):
-        rep = cached_rep((2,), 4, "rational")
-        assert rep.repaired_positions == (3,)
-
     @staticmethod
     def _repair(sig):
-        """Repair sigma_3 of (2,)@4 against the built sigma_2, kappa_1, sigma_1."""
+        """Test sigma_3 of (2,)@4 against the built sigma_2."""
         rep = cached_rep((2,), 4, "rational")
         return gauge.repair_position(
             rep.sigma[1], sig, rep.kappa[2], rep.blocks[3], RATIONAL,
             commuters=[rep.sigma[0], rep.kappa[0]],
         )
 
-    def test_repair_restores_braid_and_locality(self):
+    def test_built_sigma_passes_unchanged(self):
         rep = cached_rep((2,), 4, "rational")
-        scales = [1, Fraction(3, 2), 1, Fraction(-5, 7), Fraction(11, 4), 1]
-        sig, _, found = self._repair(
-            gauge.apply_diagonal(rep.sigma[2], scales, RATIONAL)
-        )
-        assert found is not None
-        prev = rep.sigma[1]
-        assert (prev * sig * prev).equals(sig * prev * sig)
-        for mat in (rep.sigma[0], rep.kappa[0]):
-            assert (mat * sig).equals(sig * mat)
+        sig, kap, scales = self._repair(rep.sigma[2])
+        assert scales is None
+        assert sig is rep.sigma[2] and kap is rep.kappa[2]
 
     @pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 2), (3, 4), (5, 5)])
     def test_repair_rejects_non_gauge_sigma(self, entry):
-        """A diagonal gauge cannot absorb a change to one entry of sigma."""
+        """A change to one entry of sigma breaks the braid identity."""
         bad = cached_rep((2,), 4, "rational").sigma[2].copy()
         i, j = entry
         bad.rows[i][j] = bad.rows[i][j] + 1
