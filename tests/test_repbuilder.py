@@ -177,8 +177,7 @@ class TestGaugeInvariance:
         """Test sigma_3 of (2,)@4 against the built sigma_2."""
         rep = cached_rep((2,), 4, "rational")
         return gauge.repair_position(
-            rep.sigma[1], sig, rep.kappa[2], rep.blocks[3], RATIONAL,
-            commuters=[rep.sigma[0], rep.kappa[0]],
+            rep.sigma[1], sig, rep.kappa[2], rep.blocks[3], RATIONAL
         )
 
     def test_built_sigma_passes_unchanged(self):
