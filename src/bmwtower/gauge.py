@@ -13,13 +13,14 @@ class GaugeRepairFailed(RuntimeError):
     pass
 
 
-def repair_position(sig_prev, sig_i, kap_i, blocks_i, field, commuters=()):
+def repair_position(sig_prev, sig_i, kap_i):
     """Check position i against the already-built position i-1.
 
     Returns (sigma, kappa, None), the inputs unchanged, when
     sigma_{i-1} sigma_i sigma_{i-1} = sigma_i sigma_{i-1} sigma_i, and raises
-    GaugeRepairFailed otherwise.  ``blocks_i``, ``field`` and ``commuters``
-    are not read; they keep the call signature of the earlier gauge solver.
+    GaugeRepairFailed otherwise.  The name and the third, always-None item
+    are kept because perfbench/tracing.py wraps this function by name and
+    reads that item.
     """
     lhs = sig_prev * sig_i * sig_prev
     rhs = sig_i * sig_prev * sig_i

@@ -7,7 +7,8 @@ dense, but the elementwise kernels and products skip zero entries, since
 the seminormal generators are mostly zeros, and the diagonal of a diagonal
 matrix (a Jucys-Murphy element) is read off directly with
 ``diagonal_entries``.  Sizes stay in the tens to low hundreds, so inversion
-and linear solves are plain Gauss-Jordan.
+and linear solves are plain Gauss-Jordan; the package itself performs
+neither, and both serve the dense test oracles.
 """
 
 from __future__ import annotations
@@ -47,9 +48,6 @@ class Matrix:
 
     def copy(self):
         return Matrix(self.rows, self.field)
-
-    def __getitem__(self, ij):
-        return self.rows[ij[0]][ij[1]]
 
     def __add__(self, other):
         return Matrix(
@@ -116,21 +114,7 @@ class Matrix:
             a == b for r, s in zip(self.rows, other.rows) for a, b in zip(r, s)
         )
 
-    def is_scalar(self):
-        """If a scalar multiple of the identity, return the scalar, else None."""
-        if self.n != self.m or self.n == 0:
-            return None
-        c = self.rows[0][0]
-        for i in range(self.n):
-            for j in range(self.m):
-                e = self.rows[i][j]
-                if i == j:
-                    if not (e == c):
-                        return None
-                elif e:
-                    return None
-        return c
-
+    # not called in the package; perfbench/tracing.py wraps Matrix.inverse by name
     def inverse(self):
         if self.n != self.m:
             raise SingularMatrix("not square")

@@ -7,16 +7,19 @@ sharing everything except the level-i diagram.  A block is
 * Case 3a (size 1): sigma acts by +-q^{+-1}, kappa by 0;
 * Case 3b (size 2): a Hecke-type two-block, kappa 0;
 * Case 4 (odd size 2m+1): lambda_{i-1} = lambda_{i+1}; kappa is the
-  rank-one matrix whose weights solve a Vandermonde system against the
-  central generating-function scalars, and sigma is forced entrywise.
+  rank-one matrix of the kappa weights Delta(lambda_i)/Delta(lambda_{i-1}),
+  ratios of quantum dimensions (``quantum_dimension``), and sigma is
+  forced entrywise.
 
 The relations at one position fix each block up to one scale per member.
 Those scales are chosen by a closed formula in the block's own data
 (``kappa_block``, ``_partner_scale``): kappa in the all-ones row gauge,
-and the off-diagonal pair of each 3b block from its tokens and the kappa
-weights of the steps out of lambda_{i-1}.  That choice is consistent
-across positions, so no gauge is solved for; the braid identity with the
-previous position is still tested while building.
+and the off-diagonal pair of each 3b block from its tokens and the
+quantum dimensions of its diagrams.  That choice is consistent across
+positions, so no gauge is solved for; the braid identity with the
+previous position is still tested while building.  Only the verifier's
+``kappa_y_power`` check reads the central scalars (``central.zhat_series``),
+so it tests the weights against an independent formula.
 
 Every built representation is verified against the full defining relation
 list before being returned.  In this basis sigma_i and kappa_i only mix
@@ -33,18 +36,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field as dfield
 from fractions import Fraction
+from functools import lru_cache
 from time import perf_counter
 
 from . import central as cen
 from . import combinatorics as comb
 from . import gauge
 from . import spectrum as spec
-from .linalg import Matrix, solve
+# solve is not called; perfbench/tracing.py patches repbuilder.solve by name
+from .linalg import Matrix, solve  # noqa: F401
 from .scalars import SYMBOLIC, format_scalar
-
-
-class DegenerateBlock(ArithmeticError):
-    pass
 
 
 class NonGenericBlock(ArithmeticError):
@@ -147,34 +148,54 @@ def block_decompose(lam, n, i, flip=False):
     return _group_blocks(paths, strings, i)
 
 
-def kappa_weights(prefix, tokens, field):
-    """Weights gamma of the steps with the given tokens out of a diagram.
+def quantum_dimension(lam, field, flip=False):
+    """Delta(lambda), the BMW quantum dimension Q_lambda (Wenzl, CMP 133, 1990).
 
-    ``tokens`` are the y-tokens of every step out of the diagram reached by
-    the token string ``prefix``, i.e. the members of a Case-4 block there.
-    gamma solves sum_k gamma_k a_k^p = Zhat^(p) for p = 0..2m, where the
-    right-hand side comes from the central generating function evaluated
-    on the prefix.  Returns a dict token -> gamma.
+    The kappa weight of a step mu -> lambda is Delta(lambda)/Delta(mu).
+    Delta is a product over the boxes (i, j) of lambda, with r = nu^{-1},
+    lambda_k = 0 past the last row and hook h = lambda_i - j + lambda'_j - i + 1:
+    (r q^d - r^{-1} q^{-d}) / (q^h - q^{-h}) off the diagonal, with
+    d = lambda_i + lambda_j - i - j + 1 for i < j and
+    d = -lambda'_i - lambda'_j + i + j - 1 for i > j; and
+    (r q^e - r^{-1} q^{-e} + q^h - q^{-h}) / (q^h - q^{-h}) for i = j, with
+    e = lambda_j - lambda'_j.  So Delta(()) = 1 and Delta((1,)) = mu.  The
+    flipped content convention takes Delta of the conjugate diagram.
+
+    Delta is finite and nonzero at every point that ``check_generic``
+    accepts at a level n >= |lambda|: a denominator q^{-h}(q^{2h} - 1) has
+    1 <= h <= n, and a numerator, nu^{-1} q^{-d}(q^{2d} - nu^2) or
+    (r q^e + q^h)(1 - r^{-1} q^{-e-h}), vanishes only where
+    nu^2 q^{2z} = 1 for z = -d, h - e or -e - h, all with |z| <= 2n.
     """
-    s = len(tokens)
-    a_vals = [field.token_value(a) for a in tokens]
-    for k in range(s):
-        for l in range(k + 1, s):
-            if a_vals[k] == a_vals[l]:
-                raise DegenerateBlock(
-                    f"repeated eigenvalue in block at i={len(prefix) + 1}"
-                )
-    zh = cen.zhat_series(prefix, s - 1, field)
-    vand = Matrix(
-        [[a_vals[k] ** p for k in range(s)] for p in range(s)], field
-    )
-    return dict(zip(tokens, solve(vand, zh)))
+    lam = tuple(lam)
+    cols = tuple(sum(r > j for r in lam) for j in range(max(lam, default=0)))
+    if flip:
+        lam, cols = cols, lam
+    row = (0,) + lam + (0,) * len(cols)  # row[k] = lambda_k, 1-based
+    col = (0,) + cols + (0,) * len(lam)
+
+    def qnum(d):
+        return field.nu_pow(-1) * field.q_pow(d) - field.nu * field.q_pow(-d)
+
+    num = den = field.one
+    for i in range(1, len(lam) + 1):
+        for j in range(1, row[i] + 1):
+            h = row[i] - j + col[j] - i + 1
+            qh = field.q_pow(h) - field.q_pow(-h)
+            if i == j:
+                num = num * (qnum(row[j] - col[j]) + qh)
+            else:
+                num = num * qnum(row[i] + row[j] - i - j + 1 if i < j
+                                 else -col[i] - col[j] + i + j - 1)
+            den = den * qh
+    return num / den
 
 
 def kappa_block(block, weights, field):
     """Rank-one kappa on a Case-4 block: every column is the weight column,
-    kappa_kl = gamma_k (the all-ones row gauge)."""
-    return Matrix([[weights[a]] * block.size for (a, _) in block.pairs], field)
+    kappa_kl = gamma_k (the all-ones row gauge), where ``weights`` lists
+    gamma_k = Delta(lambda_i)/Delta(lambda_{i-1}) of each member k."""
+    return Matrix([[w] * block.size for w in weights], field)
 
 
 def _swap_product(a, b, u):
@@ -189,29 +210,27 @@ def _partner_scale(block, prod, weights, field):
     Member 1 has the pair (a, b) and member 2 the swapped pair (b, a), and
     a < b as tokens (canonical order), so member 1 adds a box first when
     the two steps are of different kinds.  With kappa in the all-ones row
-    gauge, the normalization that makes every position braid-consistent is
+    gauge, lambda = lambda_{i-1} and lambda^k the middle diagram of member
+    k, the normalization that makes every position braid-consistent is
 
     * two added boxes: sigma_12 = 1 (Young's seminormal choice);
-    * two removed boxes: sigma_12 = P gamma(a) / gamma(b), i.e.
-      sigma_21 = gamma(b) / gamma(a);
-    * add a box (token a), then remove one (token b): sigma_12 = gamma(a),
-      times the two-added-box product P(a, nu^2/b) when a.z + b.z < 0,
-      that is when the removed box has the larger content (in the
-      tokens' content convention).
+    * two removed boxes: sigma_21 = Delta(lambda^2) / Delta(lambda^1);
+    * add a box (token a), then remove one (token b):
+      sigma_12 = Delta(lambda^1) / Delta(lambda), times the two-added-box
+      product P(a, nu^2/b) when a.z + b.z < 0, that is when the removed
+      box has the larger content (in the tokens' content convention).
 
-    P = ``prod`` is the block's own product sigma_12 sigma_21, and gamma(t)
-    is the kappa weight of the step with token t out of lambda_{i-1}.
-    Every rule reads tokens only, so it is the same in both field adapters
-    and under the flipped content convention.  ``gauge.repair_position`` tests the
-    braid identity this choice makes hold at every position, and the
-    relation verification proves the rest.
+    P = ``prod`` is the block's own sigma_12 sigma_21, and ``weights`` are
+    the members' kappa weights Delta(lambda^k)/Delta(lambda).  The rules are
+    checked, not derived: ``gauge.repair_position`` tests the braid
+    identity at every position, and the relation verification the rest.
     """
     a_tok, b_tok = block.pairs[0]
     if not b_tok.nu:
         return field.one
     if a_tok.nu:
-        return prod * weights[a_tok] / weights[b_tok]
-    scale = weights[a_tok]
+        return prod * weights[0] / weights[1]
+    scale = weights[0]
     if a_tok.z + b_tok.z < 0:
         added = field.token_value(a_tok)
         removed = field.nu_pow(2) / field.token_value(b_tok)
@@ -222,9 +241,8 @@ def _partner_scale(block, prod, weights, field):
 def sigma_block(block, kappa, weights, field):
     """Sigma on a single block, from the case tag and (for Case 4) kappa.
 
-    ``weights`` are the kappa weights of the steps out of lambda_{i-1}
-    (see ``kappa_weights``); 3a blocks and 3b blocks of two added boxes
-    do not read them.
+    ``weights`` are the members' kappa weights (see ``kappa_block``); 3a
+    blocks and 3b blocks of two added boxes do not read them.
     """
     u = field.q - field.q_pow(-1)
     if block.case.tag == "3a":
@@ -279,17 +297,14 @@ def build_rep(lam, n, field=SYMBOLIC, flip=False, verify=True):
     sigma = []
     kappa = []
     blocks = {}
-    # lambda_{i-1} -> kappa weights of the steps out of it; the Zhat scalars
-    # are central, so they depend on lambda_{i-1} only, not on the prefix
-    weights = {}
 
-    def weights_before(i, path, string):
-        alpha = path[i - 1]
-        if alpha not in weights:
-            steps = [spec.content_string((alpha, nb), flip)[0]
-                     for nb in comb.neighbors(alpha)]
-            weights[alpha] = kappa_weights(string[: i - 1], steps, field)
-        return weights[alpha]
+    @lru_cache(maxsize=None)
+    def qdim(diagram):
+        return quantum_dimension(diagram, field, flip)
+
+    @lru_cache(maxsize=None)
+    def weight(before, mid):
+        return qdim(mid) / qdim(before)
 
     for i in range(1, n):
         sig = Matrix.zero(dim, dim, field)
@@ -299,7 +314,7 @@ def build_rep(lam, n, field=SYMBOLIC, flip=False, verify=True):
         for b in blist:
             w = None
             if b.case.tag == "4" or (b.case.tag == "3b" and b.pairs[0][1].nu):
-                w = weights_before(i, paths[b.members[0]], strings[b.members[0]])
+                w = [weight(paths[m][i - 1], paths[m][i]) for m in b.members]
             if b.case.tag == "4":
                 kb = kappa_block(b, w, field)
                 sb = sigma_block(b, kb, w, field)
@@ -319,7 +334,7 @@ def build_rep(lam, n, field=SYMBOLIC, flip=False, verify=True):
         if i >= 2:
             # the normalization is braid-consistent by construction; the
             # braid test against position i-1 guards it
-            sig, kap, _ = gauge.repair_position(sigma[-1], sig, kap, blist, field)
+            sig, kap, _ = gauge.repair_position(sigma[-1], sig, kap)
         sigma.append(sig)
         kappa.append(kap)
     rep = SeminormalRep(lam, n, paths, strings, sigma, kappa, y, blocks, field, flip)
@@ -535,26 +550,6 @@ def _respects_blocks(rep, i):
 def _is_diagonal(mat):
     return all(
         not x for r, row in enumerate(mat.rows) for c, x in enumerate(row) if r != c
-    )
-
-
-def conjugate_diagonal(rep, scales):
-    """Gauge transform by an invertible diagonal matrix (for invariance tests)."""
-    f = rep.field
-    scales = list(scales)
-    d = Matrix.diagonal(scales, f)
-    dinv = Matrix.diagonal([f.one / x for x in scales], f)
-    return SeminormalRep(
-        rep.lam,
-        rep.n,
-        rep.paths,
-        rep.strings,
-        [d * s * dinv for s in rep.sigma],
-        [d * k * dinv for k in rep.kappa],
-        list(rep.y),
-        rep.blocks,
-        f,
-        rep.flip,
     )
 
 

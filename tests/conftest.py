@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from bmwtower.combinatorics import build_graph
+from bmwtower.linalg import Matrix
 from bmwtower.repbuilder import (
     SeminormalRep,
     VerificationFailed,
@@ -43,6 +44,20 @@ def replace_parts(rep, **fields):
     return SeminormalRep(
         rep.lam, rep.n, rep.paths, rep.strings, parts["sigma"], parts["kappa"],
         parts["y"], parts["blocks"], rep.field, rep.flip,
+    )
+
+
+def conjugate_diagonal(rep, scales):
+    """Gauge transform by an invertible diagonal matrix (for invariance tests)."""
+    f = rep.field
+    scales = list(scales)
+    d = Matrix.diagonal(scales, f)
+    dinv = Matrix.diagonal([f.one / x for x in scales], f)
+    return replace_parts(
+        rep,
+        sigma=[d * s * dinv for s in rep.sigma],
+        kappa=[d * k * dinv for k in rep.kappa],
+        y=list(rep.y),
     )
 
 

@@ -7,13 +7,55 @@ the block structure of the seminormal generators; a singular sigma raises
 treat every y as a dense matrix: powers are repeated products, inverses
 come from Gauss-Jordan, and a non-diagonal y gives a verdict, not an
 error.  The chain's bulk sum adds every entry, zero or not.  All of it is
-slow and kept for tests at small n only.
+slow and kept for tests at small n only.  The kappa weights of a diagram's
+steps solve a Vandermonde system against the central generating function
+instead of reading the quantum dimensions.
 """
 
 from bmwtower import central as cen
 from bmwtower.central import CentralityViolated
-from bmwtower.linalg import Matrix
+from bmwtower.linalg import Matrix, solve
 from bmwtower.repbuilder import Report
+
+
+def vandermonde_kappa_weights(prefix, tokens, field):
+    """Weights gamma of the steps with the given tokens out of a diagram.
+
+    ``tokens`` are the y-tokens of every step out of the diagram reached by
+    the token string ``prefix``, i.e. the members of a Case-4 block there.
+    gamma solves sum_k gamma_k a_k^p = Zhat^(p) for p = 0..2m, where the
+    right-hand side comes from the central generating function evaluated
+    on the prefix.  Returns a dict token -> gamma.
+    """
+    s = len(tokens)
+    a_vals = [field.token_value(a) for a in tokens]
+    for k in range(s):
+        for l in range(k + 1, s):
+            if a_vals[k] == a_vals[l]:
+                raise ArithmeticError(
+                    f"repeated eigenvalue in block at i={len(prefix) + 1}"
+                )
+    zh = cen.zhat_series(prefix, s - 1, field)
+    vand = Matrix(
+        [[a_vals[k] ** p for k in range(s)] for p in range(s)], field
+    )
+    return dict(zip(tokens, solve(vand, zh)))
+
+
+def is_scalar(mat):
+    """The scalar c if mat = c * identity, else None."""
+    if mat.n != mat.m or mat.n == 0:
+        return None
+    c = mat.rows[0][0]
+    for i in range(mat.n):
+        for j in range(mat.m):
+            e = mat.rows[i][j]
+            if i == j:
+                if not (e == c):
+                    return None
+            elif e:
+                return None
+    return c
 
 
 def dense_verify_relations(rep):
@@ -129,12 +171,12 @@ def dense_central_scalars(rep, max_power=3):
     z = Matrix.identity(rep.dim, rep.field)
     for y in rep.y:
         z = z * y
-    c = z.is_scalar()
+    c = is_scalar(z)
     if c is None:
         raise CentralityViolated("product of JM elements is not scalar")
     out = {"Z": c, "Zp": {}}
     for p in range(max_power + 1):
-        s = dense_power_sum(rep, p).is_scalar()
+        s = is_scalar(dense_power_sum(rep, p))
         if s is None:
             raise CentralityViolated(f"power sum p={p} is not scalar")
         out["Zp"][p] = s

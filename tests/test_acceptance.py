@@ -15,7 +15,13 @@ from bmwtower import spectrum as spec
 from bmwtower.linalg import Matrix
 from bmwtower.scalars import SYMBOLIC
 
-from conftest import RATIONAL, cached_rep, cached_report, level_vertices
+from conftest import (
+    RATIONAL,
+    cached_rep,
+    cached_report,
+    conjugate_diagonal,
+    level_vertices,
+)
 
 
 def _verdict(num, ok, text):
@@ -186,7 +192,7 @@ def test_10_chain_sanity():
             Fraction(rng.randint(1, 30), rng.randint(1, 30))
             for _ in range(rep.dim)
         ]
-        conj = rb.conjugate_diagonal(rep, scales)
+        conj = conjugate_diagonal(rep, scales)
         other = chains.eigenvalues_numeric(chains.hamiltonian(conj, p), RATIONAL)
         for x, y in zip(base, other):
             ok = ok and abs(x - y) <= 1e-10 * max(1.0, abs(x))

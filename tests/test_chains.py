@@ -10,7 +10,7 @@ from bmwtower import chains
 from bmwtower import repbuilder as rb
 from bmwtower.scalars import SYMBOLIC, GenericSpecialization, NonGenericPoint
 
-from conftest import RATIONAL, cached_rep
+from conftest import RATIONAL, cached_rep, conjugate_diagonal
 
 QV, NUV = 2.0, 3.0
 U = QV - 1 / QV
@@ -121,7 +121,7 @@ class TestSpectra:
         h = chains.hamiltonian(rep, std_params())
         base = chains.eigenvalues_numeric(h, RATIONAL)
         scales = [Fraction(rng.randint(1, 40), rng.randint(1, 40)) for _ in range(rep.dim)]
-        conj = rb.conjugate_diagonal(rep, scales)
+        conj = conjugate_diagonal(rep, scales)
         h2 = chains.hamiltonian(conj, std_params())
         other = chains.eigenvalues_numeric(h2, RATIONAL)
         for x, y in zip(base, other):

@@ -11,7 +11,7 @@ from bmwtower.linalg import Matrix
 from bmwtower.scalars import SYMBOLIC
 from bmwtower.spectrum import Token
 
-from conftest import RATIONAL, cached_rep, cached_report, level_vertices
+from conftest import cached_rep, cached_report, conjugate_diagonal, level_vertices
 
 Q = SYMBOLIC.q
 NU = SYMBOLIC.nu
@@ -169,16 +169,14 @@ class TestGaugeInvariance:
     def test_random_diagonal_conjugation(self):
         rep = cached_rep((1,), 3, "rational")
         scales = [Fraction(3, 2), Fraction(-5, 7), Fraction(11, 4)]
-        conj = rb.conjugate_diagonal(rep, scales)
+        conj = conjugate_diagonal(rep, scales)
         assert rb.verify_relations(conj).ok
 
     @staticmethod
     def _repair(sig):
         """Test sigma_3 of (2,)@4 against the built sigma_2."""
         rep = cached_rep((2,), 4, "rational")
-        return gauge.repair_position(
-            rep.sigma[1], sig, rep.kappa[2], rep.blocks[3], RATIONAL
-        )
+        return gauge.repair_position(rep.sigma[1], sig, rep.kappa[2])
 
     def test_built_sigma_passes_unchanged(self):
         rep = cached_rep((2,), 4, "rational")
