@@ -16,10 +16,13 @@ Those scales are chosen by a closed formula in the block's own data
 (``kappa_block``, ``_partner_scale``): kappa in the all-ones row gauge,
 and the off-diagonal pair of each 3b block from its tokens and the
 quantum dimensions of its diagrams.  That choice is consistent across
-positions, so no gauge is solved for; the braid identity with the
-previous position is still tested while building.  Only the verifier's
-``kappa_y_power`` check reads the central scalars (``central.zhat_series``),
-so it tests the weights against an independent formula.
+positions, so no gauge is solved for.  The braid identity with the
+previous position is tested while building only when no verification
+follows (``build_rep(verify=False)``); otherwise the verifier's ``braid``
+check is that test, so each build computes the braid products once.  Only
+the verifier's ``kappa_y_power`` check reads the central scalars
+(``central.zhat_series``), so it tests the weights against an independent
+formula.
 
 Every built representation is verified against the full defining relation
 list before being returned.  In this basis sigma_i and kappa_i only mix
@@ -27,8 +30,10 @@ paths of one block at position i and every y is diagonal, so relations at
 one position (cubic, kappa definition, skein, JM recursion, kappa-moment
 identities) are proven on the blocks, after a ``block_structure`` check
 that the blocks partition the basis and that sigma_i, kappa_i vanish off
-them.  Only braid, locality and kappa-sigma-kappa multiply whole matrices,
-and sigma^{-1} comes from the skein relation, not from an inversion.
+them; on a block where kappa has rank one the cubic and the kappa moments
+reduce to scalar identities in its row and column.  Only braid, locality
+and kappa-sigma-kappa multiply whole matrices, and sigma^{-1} comes from
+the skein relation, not from an inversion.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field as dfield
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from time import perf_counter
 
 from . import central as cen
@@ -222,8 +227,9 @@ def _partner_scale(block, prod, weights, field):
 
     P = ``prod`` is the block's own sigma_12 sigma_21, and ``weights`` are
     the members' kappa weights Delta(lambda^k)/Delta(lambda).  The rules are
-    checked, not derived: ``gauge.repair_position`` tests the braid
-    identity at every position, and the relation verification the rest.
+    checked, not derived: the verifier's ``braid`` check tests the braid
+    identity at every position (``gauge.repair_position`` does, while
+    building, when no verification follows), and its other checks the rest.
     """
     a_tok, b_tok = block.pairs[0]
     if not b_tok.nu:
@@ -331,9 +337,10 @@ def build_rep(lam, n, field=SYMBOLIC, flip=False, verify=True):
                         f"nonzero kappa on a {b.case.tag} block at i={i}"
                     )
             _scatter(sig, b, sb)
-        if i >= 2:
+        if i >= 2 and not verify:
             # the normalization is braid-consistent by construction; the
-            # braid test against position i-1 guards it
+            # braid test against position i-1 guards it when no verification
+            # (whose ``braid`` check is the same test) follows
             sig, kap, _ = gauge.repair_position(sigma[-1], sig, kap)
         sigma.append(sig)
         kappa.append(kap)
@@ -370,6 +377,22 @@ def verify_relations(rep):
     the sigma^{-1} that ``kappa_sigma_kappa_minus`` uses, with no
     inversion.  ``kappa_y_power`` reads Zhat^(p) from each
     member's own prefix, and is trivially true on a block where K = 0.
+
+    Where K != 0 it is tested once for rank one (``_LocalBlock.rank_one``):
+    with a nonzero pivot K[a0][b0], its row r and its column c,
+    K[a][b] pivot = c[a] r[b] for every entry says exactly K = c r / pivot.
+    Then K Y^p K = (r Y^p c / pivot) K, and where the members share one
+    prefix Zhat^(p) is one scalar z, so, K being nonzero, ``kappa_y_power``
+    holds on the block exactly when r Y^p c = z pivot.  Given
+    ``kappa_definition``, (S - q)(S + q^{-1}) = -nu u K, so the cubic is
+    -nu u K (S - nu): it holds where K = 0, and for K = c r / pivot, c != 0,
+    exactly when r S = nu r.  So ``cubic``, like ``kappa_sigma_kappa_minus``
+    with ``skein``, may pass on a block where the relation it rests on
+    fails, and ``report.ok`` stays exact.  A block where K has rank two or
+    more, or whose members' prefixes differ, is checked with the dense
+    block products.  Kappa is rank one on every Case-4 block by
+    construction (``kappa_block``), so a built representation takes the
+    scalar forms throughout.
 
     Each check carries the perf_counter seconds it took.
     """
@@ -420,10 +443,17 @@ def verify_relations(rep):
                 lambda: (sig[i] * sig[j]).equals(sig[j] * sig[i]),
                 detail=f"j={j + 1}",
             )
-    on_blocks(
-        "cubic",
-        lambda lb: (lb.s.shift(-q) * lb.s.shift(qinv) * lb.s.shift(-nu)).is_zero,
-    )
+
+    def cubic_holds(lb):
+        """The cubic on a block, given kappa_definition there."""
+        if lb.k.is_zero:
+            return True
+        if lb.rank_one:
+            row = Matrix([lb.rank_one[1]], f)
+            return (row * lb.s).equals(row.scale(nu))
+        return (lb.s.shift(-q) * lb.s.shift(qinv) * lb.s.shift(-nu)).is_zero
+
+    on_blocks("cubic", cubic_holds)
     for i in range(n - 2):
         timed(
             "kappa_sigma_kappa_plus", i + 1,
@@ -468,6 +498,10 @@ def verify_relations(rep):
         for pre in lb.prefixes:
             if pre not in zhat:
                 zhat[pre] = cen.zhat_series(pre, order, f)
+        if lb.rank_one and len(set(lb.prefixes)) == 1:
+            col, row, pivot = lb.rank_one
+            pairing = sum((r * x * c for r, x, c in zip(row, ypow, col)), f.zero)
+            return pairing == zhat[lb.prefixes[0]][p] * pivot
         z = Matrix.diagonal([zhat[pre][p] for pre in lb.prefixes], f)
         return (lb.k * Matrix.diagonal(ypow, f) * lb.k).equals(z * lb.k)
 
@@ -522,6 +556,27 @@ class _LocalBlock:
             [rep.y[i].rows[r][r] for r in ms],
             [rep.strings[r][: i - 1] for r in ms],
         )
+
+    @cached_property
+    def rank_one(self):
+        """(col, row, pivot) with K = col row / pivot when K has rank one.
+
+        The pivot is the first nonzero entry K[a0][b0] in row order, row is
+        K's row a0 and col its column b0; None when K is zero or has rank
+        two or more.
+        """
+        rows = self.k.rows
+        a0, b0 = next(
+            ((a, b) for a, r in enumerate(rows) for b, x in enumerate(r) if x),
+            (None, None),
+        )
+        if a0 is None:
+            return None
+        pivot, row = rows[a0][b0], rows[a0]
+        col = [r[b0] for r in rows]
+        if all(x * pivot == c * y for c, r in zip(col, rows) for x, y in zip(r, row)):
+            return col, row, pivot
+        return None
 
     def skein_inverse(self, u):
         """S - u + u K: the inverse of S exactly when the skein relation holds."""

@@ -4,8 +4,12 @@ import json
 
 import pytest
 
-from bmwtower import cli
+from bmwtower import cli, gauge
+from bmwtower import combinatorics as comb
+from bmwtower import repbuilder as rb
 from bmwtower.scalars import SYMBOLIC, parse_scalar
+
+from conftest import RATIONAL, cached_report, level_vertices
 
 
 def run_cli(argv, capsys):
@@ -82,6 +86,76 @@ class TestVerify:
         with pytest.raises(NonGenericPoint):
             cli.run(cli._build_parser().parse_args(argv))
         assert_usage_error(argv, "is not generic at level 2", capsys)
+
+
+class TestOneVerificationPerIrrep:
+    """``verify`` builds each irrep with its verification, which is also its
+    only braid test, and reports a failing relation instead of raising."""
+
+    def test_build_tests_braid_once(self, monkeypatch):
+        calls = []
+        real = gauge.repair_position
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(gauge, "repair_position", counted)
+        rb.build_rep((2, 1), 5, field=RATIONAL, verify=True)
+        assert len(calls) == 0
+        rb.build_rep((2, 1), 5, field=RATIONAL, verify=False)
+        assert len(calls) == 5 - 2
+        argv = ["verify", "--n", "4", "--mode", "rational"]
+        cli.run(cli._build_parser().parse_args(argv))
+        assert len(calls) == 5 - 2
+
+    @staticmethod
+    def _old_verify_json(n, mode, flip=False):
+        """The report of a build without verification, then verify_relations."""
+        field = RATIONAL if mode == "rational" else SYMBOLIC
+        out = []
+        for lam in level_vertices(n):
+            if flip:
+                report = rb.verify_relations(
+                    rb.build_rep(lam, n, field=field, flip=True, verify=False))
+            else:
+                report = cached_report(lam, n, mode)
+            out.append({
+                "lambda": list(lam),
+                "dim": comb.dim(lam, n),
+                "ok": report.ok,
+                "failures": [
+                    {"name": c.name, "index": c.index, "detail": c.detail}
+                    for c in report.failures()
+                ],
+            })
+        status = 0 if all(entry["ok"] for entry in out) else 1
+        return status, json.dumps(
+            {"n": n, "mode": mode, "irreps": out}, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("mode, n, flip", [
+        *(("symbolic", n, False) for n in range(1, 5)),
+        *(("rational", n, False) for n in range(1, 7)),
+        ("rational", 5, True),
+    ])
+    def test_report_matches_build_then_verify(self, mode, n, flip):
+        argv = ["verify", "--n", str(n), "--mode", mode]
+        args = cli._build_parser().parse_args(argv + ["--flip-content"] * flip)
+        assert cli.run(args) == self._old_verify_json(n, mode, flip)
+
+    def test_braid_failure_is_reported(self, monkeypatch, capsys):
+        """A wrong 3b scale is a diagonal gauge on its block: the local
+        relations still hold and the braid identity fails."""
+        real = rb._partner_scale
+        monkeypatch.setattr(
+            rb, "_partner_scale", lambda *args: real(*args) * 2)
+        with pytest.raises(gauge.GaugeRepairFailed):
+            rb.build_rep((1, 1), 4, field=RATIONAL, verify=False)
+        status, out = run_cli(["verify", "--n", "4", "--mode", "rational"], capsys)
+        assert status == 1
+        failed = {tuple(e["lambda"]): e["failures"]
+                  for e in json.loads(out)["irreps"] if not e["ok"]}
+        assert failed == {(1, 1): [{"name": "braid", "index": 2, "detail": ""}]}
 
 
 class TestUsageErrors:
