@@ -3,9 +3,10 @@
 ``repbuilder`` builds every block in a braid-consistent normalization (see
 ``repbuilder._partner_scale``), so no diagonal gauge has to be solved for.
 ``repair_position`` keeps the test that the construction gets right: the
-braid identity between sigma_{i-1} and sigma_i.  ``build_rep`` runs it only
-when no verification follows; otherwise the verifier's ``braid`` check is
-the same test, so each build computes the braid products once.
+braid identity between sigma_{i-1} and sigma_i.  ``verify_relations`` runs
+it as its ``braid`` check, and ``build_rep`` runs it while building only
+when no verification follows, so each build computes the braid products
+once.
 """
 
 from __future__ import annotations

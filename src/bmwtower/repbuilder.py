@@ -16,13 +16,13 @@ Those scales are chosen by a closed formula in the block's own data
 (``kappa_block``, ``_partner_scale``): kappa in the all-ones row gauge,
 and the off-diagonal pair of each 3b block from its tokens and the
 quantum dimensions of its diagrams.  That choice is consistent across
-positions, so no gauge is solved for.  The braid identity with the
-previous position is tested while building only when no verification
-follows (``build_rep(verify=False)``); otherwise the verifier's ``braid``
-check is that test, so each build computes the braid products once.  Only
-the verifier's ``kappa_y_power`` check reads the central scalars
-(``central.zhat_series``), so it tests the weights against an independent
-formula.
+positions, so no gauge is solved for.  ``gauge.repair_position`` tests
+the braid identity with the previous position: as the verifier's
+``braid`` check, or while building when no verification follows
+(``build_rep(verify=False)``), so each build computes the braid products
+once.  Only the verifier's ``kappa_y_power`` check reads the central
+scalars (``central.zhat_series``), so it tests the weights against an
+independent formula.
 
 Every built representation is verified against the full defining relation
 list before being returned.  In this basis sigma_i and kappa_i only mix
@@ -227,9 +227,9 @@ def _partner_scale(block, prod, weights, field):
 
     P = ``prod`` is the block's own sigma_12 sigma_21, and ``weights`` are
     the members' kappa weights Delta(lambda^k)/Delta(lambda).  The rules are
-    checked, not derived: the verifier's ``braid`` check tests the braid
-    identity at every position (``gauge.repair_position`` does, while
-    building, when no verification follows), and its other checks the rest.
+    checked, not derived: ``gauge.repair_position`` tests the braid
+    identity at every position (in the verifier's ``braid`` check, or while
+    building when no verification follows), and the other checks the rest.
     """
     a_tok, b_tok = block.pairs[0]
     if not b_tok.nu:
@@ -339,8 +339,8 @@ def build_rep(lam, n, field=SYMBOLIC, flip=False, verify=True):
             _scatter(sig, b, sb)
         if i >= 2 and not verify:
             # the normalization is braid-consistent by construction; the
-            # braid test against position i-1 guards it when no verification
-            # (whose ``braid`` check is the same test) follows
+            # braid test against position i-1 guards it here when no
+            # verification (whose ``braid`` check makes this test) follows
             sig, kap, _ = gauge.repair_position(sigma[-1], sig, kap)
         sigma.append(sig)
         kappa.append(kap)
@@ -392,7 +392,8 @@ def verify_relations(rep):
     more, or whose members' prefixes differ, is checked with the dense
     block products.  Kappa is rank one on every Case-4 block by
     construction (``kappa_block``), so a built representation takes the
-    scalar forms throughout.
+    scalar forms throughout.  ``braid`` is ``gauge.repair_position``, the
+    test that ``build_rep`` skips when this verification follows.
 
     Each check carries the perf_counter seconds it took.
     """
@@ -429,13 +430,15 @@ def verify_relations(rep):
             _scatter(out, lb.block, lb.skein_inverse(u))
         return out
 
+    def braid_holds(i):
+        try:
+            gauge.repair_position(sig[i], sig[i + 1], kap[i + 1])
+        except gauge.GaugeRepairFailed:
+            return False
+        return True
+
     for i in range(n - 2):
-        timed(
-            "braid", i + 1,
-            lambda: (sig[i] * sig[i + 1] * sig[i]).equals(
-                sig[i + 1] * sig[i] * sig[i + 1]
-            ),
-        )
+        timed("braid", i + 1, lambda: braid_holds(i))
     for i in range(n - 1):
         for j in range(i + 2, n - 1):
             timed(
