@@ -101,11 +101,6 @@ def zhat_series(prefix, order, field):
     return list(full.coeffs)
 
 
-def _y_diagonals(rep):
-    """The diagonals of y_1..y_n; ValueError if some y is not diagonal."""
-    return [y.diagonal_entries() for y in rep.y]
-
-
 def _scalar(entries):
     """The common value of a diagonal's entries, or None if they differ."""
     c = entries[0]
@@ -126,10 +121,10 @@ def power_sum(rep, p):
     """The power sum Z^(p) = sum_j (y_j^p - nu^(2p) y_j^(-p)) as a matrix.
 
     The y are diagonal in the seminormal basis, so Z^(p) is the diagonal
-    matrix of the entrywise sums; a non-diagonal y raises ValueError.
+    matrix of the entrywise sums.
     """
     f = rep.field
-    return Matrix.diagonal(_power_sum_diagonal(_y_diagonals(rep), rep.dim, p, f), f)
+    return Matrix.diagonal(_power_sum_diagonal(rep.y, rep.dim, p, f), f)
 
 
 def central_scalars(rep, max_power=3):
@@ -137,20 +132,18 @@ def central_scalars(rep, max_power=3):
     CentralityViolated if any is non-scalar.
 
     The y are diagonal in the seminormal basis, so Z and every Z^(p) are
-    diagonal, formed entrywise from the y diagonals; a non-diagonal y
-    raises ValueError.
+    diagonal, formed entrywise from the y diagonals.
     """
     f = rep.field
-    diagonals = _y_diagonals(rep)
     z = [f.one] * rep.dim
-    for d in diagonals:
+    for d in rep.y:
         z = [a * b for a, b in zip(z, d)]
     c = _scalar(z)
     if c is None:
         raise CentralityViolated("product of JM elements is not scalar")
     out = {"Z": c, "Zp": {}}
     for p in range(max_power + 1):
-        s = _scalar(_power_sum_diagonal(diagonals, rep.dim, p, f))
+        s = _scalar(_power_sum_diagonal(rep.y, rep.dim, p, f))
         if s is None:
             raise CentralityViolated(f"power sum p={p} is not scalar")
         out["Zp"][p] = s
@@ -172,20 +165,19 @@ def intertwiner(rep, k):
 
     y_k and y_{k+1} are diagonal in the seminormal basis, so the second
     argument is the diagonal D = a - nu^2/b of their diagonals a, b and
-    U[r][c] = sigma_k[r][c] (D[c] - D[r]); a non-diagonal y raises ValueError.
+    U[r][c] = sigma_k[r][c] (D[c] - D[r]).
     """
     nu2 = rep.field.nu_pow(2)
-    a = rep.y[k - 1].diagonal_entries()
-    b = rep.y[k].diagonal_entries()
-    return _bracket(rep.sigma[k - 1], [x - nu2 / y for x, y in zip(a, b)])
+    d = [x - nu2 / y for x, y in zip(rep.y[k - 1], rep.y[k])]
+    return _bracket(rep.dense(k, rep.sigma[k - 1]), d)
 
 
 def intertwiner_checks(rep, k):
     """All exchange, product, braid and kappa identities for U_{k+1}.
 
-    Every y is diagonal in the seminormal basis (a non-diagonal y raises
-    ValueError), so U diag(x) = diag(y) U says x[c] = y[r] at each nonzero
-    entry U[r][c]: the swap and commute checks read the diagonals there.
+    Every y is diagonal in the seminormal basis, so U diag(x) = diag(y) U
+    says x[c] = y[r] at each nonzero entry U[r][c]: the swap and commute
+    checks read the diagonals there.
     The product identity's right side is the diagonal
     (q a - b/q)(q b - a/q)(1 - nu^2/(a b)) with a, b the diagonals of y_k,
     y_{k+1}, and its left side multiplies U by the commutator [sigma_k, y_k].
@@ -194,9 +186,8 @@ def intertwiner_checks(rep, k):
     q = f.q
     qinv = f.q_pow(-1)
     nu2 = f.nu_pow(2)
-    diagonals = _y_diagonals(rep)
-    a = diagonals[k - 1]
-    b = diagonals[k]
+    a = rep.y[k - 1]
+    b = rep.y[k]
     u = intertwiner(rep, k)
     support = [(r, c) for r, row in enumerate(u.rows) for c, x in enumerate(row) if x]
 
@@ -209,7 +200,7 @@ def intertwiner_checks(rep, k):
     for i in range(1, rep.n + 1):
         if i in (k, k + 1):
             continue
-        d = diagonals[i - 1]
+        d = rep.y[i - 1]
         checks.append((f"U_commutes_y_{i}", k, exchanges(d, d)))
     rhs = Matrix.diagonal(
         [
@@ -218,14 +209,14 @@ def intertwiner_checks(rep, k):
         ],
         f,
     )
-    lhs = u * _bracket(rep.sigma[k - 1], a)
+    lhs = u * _bracket(rep.dense(k, rep.sigma[k - 1]), a)
     checks.append(("U_product_identity", k, lhs.equals(rhs)))
     if k >= 2:
         uprev = intertwiner(rep, k - 1)
         checks.append(
             ("U_braid", k, (u * uprev * u).equals(uprev * u * uprev))
         )
-    kap = rep.kappa[k - 1]
+    kap = rep.dense(k, rep.kappa[k - 1])
     checks.append(("kappa_U_zero", k, (kap * u).is_zero and (u * kap).is_zero))
     return checks
 

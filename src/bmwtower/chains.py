@@ -17,7 +17,7 @@ import cmath
 import csv
 
 from .linalg import Matrix
-from .scalars import Fraction, specialize
+from .scalars import Fraction, require_generic, specialize
 
 A_CHOICES = ("q", "-q", "1/q", "-1/q")
 
@@ -94,8 +94,8 @@ def hamiltonian(rep, params):
         raise SingularParameter("nu + a vanishes at the working point")
     coeff = u * f.nu / denom
     bulk = Matrix.zero(rep.dim, rep.dim, f)
-    for m in range(rep.n - 1):
-        bulk = bulk + rep.sigma[m] + rep.kappa[m].scale(coeff)
+    for m, (sig, kap) in enumerate(zip(rep.sigma, rep.kappa), 1):
+        bulk = bulk + rep.dense(m, [s + k.scale(coeff) for s, k in zip(sig, kap)])
     boundary = params.xi / (1 - params.xi)
     return ChainHamiltonian(rep, params, bulk, boundary)
 
@@ -120,11 +120,7 @@ def eigenvalues_numeric(h, s):
     """Eigenvalues of the specialized chain, sorted by (real, imaginary)."""
     import numpy as np
 
-    from .scalars import NonGenericPoint, check_generic
-    if not check_generic(s, h.rep.n):
-        raise NonGenericPoint(
-            f"(q={s.q_value}, nu={s.nu_value}) is not generic at level {h.rep.n}"
-        )
+    require_generic(s, h.rep.n)
     mat = np.array(bulk_complex(h, s), dtype=complex)
     u = complex(specialize(h.rep.field.q - h.rep.field.q_pow(-1), s))
     mat += (u * h.boundary) * np.eye(h.dim)

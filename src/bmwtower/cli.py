@@ -23,8 +23,8 @@ from .scalars import (
     SYMBOLIC,
     GenericSpecialization,
     NonGenericPoint,
-    check_generic,
     format_scalar,
+    require_generic,
 )
 
 
@@ -59,12 +59,9 @@ def _build_parser():
 
 def _point(args):
     """The rational point (--q, --nu), checked generic at level --n."""
-    s = GenericSpecialization(Fraction(args.q), Fraction(args.nu))
-    if not check_generic(s, args.n):
-        raise NonGenericPoint(
-            f"(q={s.q_value}, nu={s.nu_value}) is not generic at level {args.n}"
-        )
-    return s
+    return require_generic(
+        GenericSpecialization(Fraction(args.q), Fraction(args.nu)), args.n
+    )
 
 
 def _field(args):

@@ -4,11 +4,12 @@ Entries are whatever the active field adapter produces (ScalarFraction in
 symbolic mode, fractions.Fraction in rational mode); all that is required
 of them is +, -, *, /, truthiness of nonzero and semantic ==.  Storage is
 dense, but the elementwise kernels and products skip zero entries, since
-the seminormal generators are mostly zeros, and the diagonal of a diagonal
-matrix (a Jucys-Murphy element) is read off directly with
-``diagonal_entries``.  Sizes stay in the tens to low hundreds, so inversion
-and linear solves are plain Gauss-Jordan; the package itself performs
-neither, and both serve the dense test oracles.
+the assembled seminormal generators are mostly zeros.  The representations
+themselves keep only the blocks of sigma and kappa and the diagonals of the
+Jucys-Murphy elements (``repbuilder.SeminormalRep``).  Sizes stay in the
+tens to low hundreds, so inversion and linear solves are plain
+Gauss-Jordan; the package itself performs neither, and both serve the
+dense test oracles.
 """
 
 from __future__ import annotations
@@ -93,15 +94,6 @@ class Matrix:
         for i in range(self.n):
             out.rows[i][i] = out.rows[i][i] + c
         return out
-
-    def diagonal_entries(self):
-        """The diagonal of a square diagonal matrix; ValueError otherwise."""
-        if self.n != self.m:
-            raise ValueError(f"a {self.n}x{self.m} matrix has no diagonal")
-        for i, row in enumerate(self.rows):
-            if any(row[:i]) or any(row[i + 1:]):
-                raise ValueError(f"matrix has a nonzero off-diagonal entry in row {i}")
-        return [row[i] for i, row in enumerate(self.rows)]
 
     @property
     def is_zero(self):

@@ -24,16 +24,22 @@ once.  Only the verifier's ``kappa_y_power`` check reads the central
 scalars (``central.zhat_series``), so it tests the weights against an
 independent formula.
 
+The storage follows the basis: sigma_i and kappa_i only mix paths of one
+block at position i, so a ``SeminormalRep`` keeps them as their block
+matrices S and K, in the order of ``blocks[i]``, and every y as its
+diagonal.  ``SeminormalRep.dense`` assembles a whole matrix for the code
+that reads one: the JSON output, the chain Hamiltonian, the intertwiners
+and the verifier's checks that couple positions.
+
 Every built representation is verified against the full defining relation
-list before being returned.  In this basis sigma_i and kappa_i only mix
-paths of one block at position i and every y is diagonal, so relations at
-one position (cubic, kappa definition, skein, JM recursion, kappa-moment
-identities) are proven on the blocks, after a ``block_structure`` check
-that the blocks partition the basis and that sigma_i, kappa_i vanish off
-them; on a block where kappa has rank one the cubic and the kappa moments
-reduce to scalar identities in its row and column.  Only braid, locality
-and kappa-sigma-kappa multiply whole matrices, and sigma^{-1} comes from
-the skein relation, not from an inversion.
+list before being returned.  Relations at one position (cubic, kappa
+definition, skein, JM recursion, kappa-moment identities) are proven on
+the blocks, after a ``block_structure`` check that the blocks partition
+the basis and that each stored block matrix has its block's size; on a
+block where kappa has rank one the cubic and the kappa moments reduce to
+scalar identities in its row and column.  Only braid, locality and
+kappa-sigma-kappa multiply whole matrices, and sigma^{-1} comes from the
+skein relation, not from an inversion.
 """
 
 from __future__ import annotations
@@ -50,7 +56,7 @@ from . import gauge
 from . import spectrum as spec
 # solve is not called; perfbench/tracing.py patches repbuilder.solve by name
 from .linalg import Matrix, solve  # noqa: F401
-from .scalars import SYMBOLIC, format_scalar
+from .scalars import SYMBOLIC, format_scalar, require_generic
 
 
 class NonGenericBlock(ArithmeticError):
@@ -85,9 +91,9 @@ class SeminormalRep:
     n: int
     paths: list
     strings: list
-    sigma: list       # n-1 matrices
-    kappa: list       # n-1 matrices
-    y: list           # n diagonal matrices, y_1 = identity
+    sigma: list       # n-1 lists of block matrices S, in the order of blocks[i]
+    kappa: list       # n-1 lists of block matrices K, zero on 3a/3b blocks
+    y: list           # n diagonals (lists of entries), y_1 = identity
     blocks: dict      # position i -> list of Block
     field: object
     flip: bool = False
@@ -95,6 +101,16 @@ class SeminormalRep:
     @property
     def dim(self):
         return len(self.paths)
+
+    def dense(self, i, mats):
+        """The dim x dim matrix with the block matrices ``mats`` of position
+        i on the blocks ``self.blocks[i]`` and zero elsewhere."""
+        out = Matrix.zero(self.dim, self.dim, self.field)
+        for block, small in zip(self.blocks[i], mats):
+            for bi, gi in enumerate(block.members):
+                for bj, gj in enumerate(block.members):
+                    out.rows[gi][gj] = small.rows[bi][bj]
+        return out
 
 
 @dataclass(frozen=True)
@@ -284,22 +300,17 @@ def sigma_block(block, kappa, weights, field):
     return Matrix(rows, field)
 
 
-def _scatter(target, block, small):
-    for bi, gi in enumerate(block.members):
-        for bj, gj in enumerate(block.members):
-            target.rows[gi][gj] = small.rows[bi][bj]
-
-
 def build_rep(lam, n, field=SYMBOLIC, flip=False, verify=True):
-    """Assemble and verify the seminormal irrep labeled (lambda, n)."""
+    """Assemble and verify the seminormal irrep labeled (lambda, n).
+
+    A rational field must be generic at level n (``require_generic``).
+    """
     lam = tuple(lam)
+    if field.name == "rational":
+        require_generic(field, n)
     paths = _canonical_paths(lam, n, flip=flip)
     strings = [spec.content_string(p, flip=flip) for p in paths]
-    dim = len(paths)
-    y = [
-        Matrix.diagonal([field.token_value(s[j]) for s in strings], field)
-        for j in range(n)
-    ]
+    y = [[field.token_value(s[j]) for s in strings] for j in range(n)]
     sigma = []
     kappa = []
     blocks = {}
@@ -313,10 +324,10 @@ def build_rep(lam, n, field=SYMBOLIC, flip=False, verify=True):
         return qdim(mid) / qdim(before)
 
     for i in range(1, n):
-        sig = Matrix.zero(dim, dim, field)
-        kap = Matrix.zero(dim, dim, field)
         blist = _group_blocks(paths, strings, i)
         blocks[i] = blist
+        sig = []
+        kap = []
         for b in blist:
             w = None
             if b.case.tag == "4" or (b.case.tag == "3b" and b.pairs[0][1].nu):
@@ -324,7 +335,6 @@ def build_rep(lam, n, field=SYMBOLIC, flip=False, verify=True):
             if b.case.tag == "4":
                 kb = kappa_block(b, w, field)
                 sb = sigma_block(b, kb, w, field)
-                _scatter(kap, b, kb)
             else:
                 sb = sigma_block(b, None, w, field)
                 # kappa must vanish on 3a/3b blocks by the quadratic factor
@@ -336,12 +346,8 @@ def build_rep(lam, n, field=SYMBOLIC, flip=False, verify=True):
                     raise NonGenericBlock(
                         f"nonzero kappa on a {b.case.tag} block at i={i}"
                     )
-            _scatter(sig, b, sb)
-        if i >= 2 and not verify:
-            # the normalization is braid-consistent by construction; the
-            # braid test against position i-1 guards it here when no
-            # verification (whose ``braid`` check makes this test) follows
-            sig, kap, _ = gauge.repair_position(sigma[-1], sig, kap)
+            sig.append(sb)
+            kap.append(kb)
         sigma.append(sig)
         kappa.append(kap)
     rep = SeminormalRep(lam, n, paths, strings, sigma, kappa, y, blocks, field, flip)
@@ -349,6 +355,15 @@ def build_rep(lam, n, field=SYMBOLIC, flip=False, verify=True):
         report = verify_relations(rep)
         if not report.ok:
             raise VerificationFailed(report)
+    else:
+        # the normalization is braid-consistent by construction; the braid
+        # test of each position against the one before guards it here when
+        # no verification (whose ``braid`` check makes this test) follows
+        dense_sigma = [rep.dense(i, s) for i, s in enumerate(sigma, 1)]
+        for i in range(2, n):
+            gauge.repair_position(
+                dense_sigma[i - 2], dense_sigma[i - 1], rep.dense(i, kappa[i - 1])
+            )
     return rep
 
 
@@ -358,14 +373,15 @@ def verify_relations(rep):
     Relations at one position are proven on the blocks of
     ``rep.blocks[i]``; only braid, locality and the two
     kappa-sigma-kappa relations, which couple positions, use products of
-    whole matrices.  This is exact, not a sampling, because of two checks
-    made first:
-
-    * ``block_structure`` at i: the blocks partition the basis and sigma_i,
-      kappa_i vanish off them, so each is the direct sum of its blocks
-      S, K;
-    * ``y_commute``: every y is diagonal (so any two commute), so its
-      restriction to a block is the diagonal Y of its entries there.
+    whole matrices (``SeminormalRep.dense``).  This is exact, not a
+    sampling, because the storage is the block structure: sigma_i and
+    kappa_i are the direct sums of their stored blocks S, K, and every y
+    is the diagonal of its stored entries (so any two commute, and its
+    restriction to a block is the diagonal Y of its entries there).  The
+    one thing left to check is ``block_structure`` at each i: the blocks
+    partition the basis and sigma_i, kappa_i hold one matrix of its
+    block's size per block.  Every other check reads that structure, so
+    where it fails the report ends there.
 
     Sums, products and scalar multiples of direct sums are formed block by
     block, and a direct sum vanishes exactly when every block does.  So
@@ -405,19 +421,19 @@ def verify_relations(rep):
     u = q - qinv
     nu2 = f.nu_pow(2)
     report = Report()
-    sig = rep.sigma
-    kap = rep.kappa
-    y = rep.y
 
     def timed(name, index, test, detail=""):
         t0 = perf_counter()
         ok = test()
         report.checks.append(Check(name, index, ok, detail, perf_counter() - t0))
 
-    local = {}
     for i in range(1, n):
         timed("block_structure", i, lambda: _respects_blocks(rep, i))
-        local[i] = [_LocalBlock.of(rep, i, b) for b in rep.blocks[i]]
+    if not report.ok:
+        return report
+    local = {i: _LocalBlock.at(rep, i) for i in range(1, n)}
+    sig = [rep.dense(i, s) for i, s in enumerate(rep.sigma, 1)]
+    kap = [rep.dense(i, k) for i, k in enumerate(rep.kappa, 1)]
 
     def on_blocks(name, test):
         for i in range(1, n):
@@ -425,10 +441,7 @@ def verify_relations(rep):
 
     def sigma_inverse(i):
         """sigma_i^{-1}, assembled from the blocks' S - u + u K (see skein)."""
-        out = Matrix.zero(rep.dim, rep.dim, f)
-        for lb in local[i]:
-            _scatter(out, lb.block, lb.skein_inverse(u))
-        return out
+        return rep.dense(i, [lb.skein_inverse(u) for lb in local[i]])
 
     def braid_holds(i):
         try:
@@ -480,13 +493,6 @@ def verify_relations(rep):
             Matrix.diagonal(lb.b, f)
         ),
     )
-    diagonal = [_is_diagonal(m) for m in y]
-    for i in range(n):
-        for j in range(i + 1, n):
-            timed(
-                "y_commute", i + 1, lambda: diagonal[i] and diagonal[j],
-                detail=f"j={j + 1}",
-            )
 
     def kills_kappa(lb):
         prod = Matrix.diagonal([a * b for a, b in zip(lb.a, lb.b)], f)
@@ -535,7 +541,7 @@ def verify_relations(rep):
 
 @dataclass(frozen=True)
 class _LocalBlock:
-    """Sub-blocks S, K of sigma_i, kappa_i and the y_i, y_{i+1} diagonals."""
+    """Blocks S, K of sigma_i, kappa_i and the y_i, y_{i+1} entries there."""
 
     block: Block
     s: Matrix
@@ -545,20 +551,18 @@ class _LocalBlock:
     prefixes: list    # per member: its string before position i
 
     @classmethod
-    def of(cls, rep, i, block):
-        ms = block.members
-
-        def restrict(mat):
-            return Matrix([[mat.rows[r][c] for c in ms] for r in ms], rep.field)
-
-        return cls(
-            block,
-            restrict(rep.sigma[i - 1]),
-            restrict(rep.kappa[i - 1]),
-            [rep.y[i - 1].rows[r][r] for r in ms],
-            [rep.y[i].rows[r][r] for r in ms],
-            [rep.strings[r][: i - 1] for r in ms],
-        )
+    def at(cls, rep, i):
+        """The blocks of position i with their stored S, K and y entries."""
+        a, b = rep.y[i - 1], rep.y[i]
+        return [
+            cls(
+                block, s, k,
+                [a[r] for r in block.members],
+                [b[r] for r in block.members],
+                [rep.strings[r][: i - 1] for r in block.members],
+            )
+            for block, s, k in zip(rep.blocks[i], rep.sigma[i - 1], rep.kappa[i - 1])
+        ]
 
     @cached_property
     def rank_one(self):
@@ -588,26 +592,14 @@ class _LocalBlock:
 
 def _respects_blocks(rep, i):
     """True when rep.blocks[i] partitions the basis and sigma_i, kappa_i
-    vanish outside the blocks."""
-    owner = [None] * rep.dim
-    for bi, b in enumerate(rep.blocks[i]):
-        for r in b.members:
-            if not 0 <= r < rep.dim or owner[r] is not None:
-                return False
-            owner[r] = bi
-    if None in owner:
+    hold one matrix of its block's size per block."""
+    blocks = rep.blocks[i]
+    if sorted(r for b in blocks for r in b.members) != list(range(rep.dim)):
         return False
     return all(
-        not x or owner[r] == owner[c]
-        for mat in (rep.sigma[i - 1], rep.kappa[i - 1])
-        for r, row in enumerate(mat.rows)
-        for c, x in enumerate(row)
-    )
-
-
-def _is_diagonal(mat):
-    return all(
-        not x for r, row in enumerate(mat.rows) for c, x in enumerate(row) if r != c
+        len(mats) == len(blocks)
+        and all(m.n == m.m == b.size for m, b in zip(mats, blocks))
+        for mats in (rep.sigma[i - 1], rep.kappa[i - 1])
     )
 
 
@@ -627,13 +619,16 @@ def rep_to_json(rep):
     def mat(m):
         return [[_format_entry(x, f) for x in row] for row in m.rows]
 
+    def dense(mats):
+        return [mat(rep.dense(i, m)) for i, m in enumerate(mats, 1)]
+
     data = {
         "lambda": list(rep.lam),
         "n": rep.n,
         "mode": f.name,
         "paths": [[list(lamk) for lamk in p] for p in rep.paths],
-        "sigma": [mat(m) for m in rep.sigma],
-        "kappa": [mat(m) for m in rep.kappa],
-        "y": [mat(m) for m in rep.y],
+        "sigma": dense(rep.sigma),
+        "kappa": dense(rep.kappa),
+        "y": [mat(Matrix.diagonal(d, f)) for d in rep.y],
     }
     return json.dumps(data, indent=2, sort_keys=True)

@@ -369,6 +369,15 @@ def check_generic(s, n):
     return True
 
 
+def require_generic(s, n):
+    """The point s, checked generic at level n; NonGenericPoint otherwise."""
+    if not check_generic(s, n):
+        raise NonGenericPoint(
+            f"(q={s.q_value}, nu={s.nu_value}) is not generic at level {n}"
+        )
+    return s
+
+
 class TruncatedSeries:
     """Power series in a formal variable t, truncated at a fixed order."""
 

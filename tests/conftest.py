@@ -18,23 +18,34 @@ RATIONAL = GenericSpecialization(Fraction(2), Fraction(3))
 
 @functools.lru_cache(maxsize=None)
 def _built(lam, n, mode):
-    """Build and verify once per (irrep, mode) for the whole test session."""
+    """Build, with its verification, once per (irrep, mode) for the whole
+    test session: (rep, None), or (None, the failed report)."""
     field = SYMBOLIC if mode == "symbolic" else RATIONAL
-    rep = build_rep(lam, n, field=field, verify=False)
-    return rep, verify_relations(rep)
+    try:
+        return build_rep(lam, n, field=field), None
+    except VerificationFailed as exc:
+        return None, exc.report
 
 
 def cached_rep(lam, n, mode="symbolic"):
     """The session's irrep; raises VerificationFailed if a relation fails."""
-    rep, report = _built(lam, n, mode)
-    if not report.ok:
-        raise VerificationFailed(report)
+    rep, failed = _built(lam, n, mode)
+    if failed is not None:
+        raise VerificationFailed(failed)
     return rep
 
 
+def cached_verdict(lam, n, mode="symbolic"):
+    """True when the session's build of the irrep passed its verification."""
+    return _built(lam, n, mode)[1] is None
+
+
+@functools.lru_cache(maxsize=None)
 def cached_report(lam, n, mode="symbolic"):
-    """The report of the session's one verification pass of the irrep."""
-    return _built(lam, n, mode)[1]
+    """A verification report of the session's irrep, for tests that read
+    individual checks; the build's own report is not kept when it passes."""
+    rep, failed = _built(lam, n, mode)
+    return failed if failed is not None else verify_relations(rep)
 
 
 def replace_parts(rep, **fields):
@@ -48,26 +59,36 @@ def replace_parts(rep, **fields):
 
 
 def conjugate_diagonal(rep, scales):
-    """Gauge transform by an invertible diagonal matrix (for invariance tests)."""
+    """Gauge transform by an invertible diagonal matrix (for invariance
+    tests), block by block."""
     f = rep.field
     scales = list(scales)
-    d = Matrix.diagonal(scales, f)
-    dinv = Matrix.diagonal([f.one / x for x in scales], f)
+
+    def conjugate(mats, i):
+        out = []
+        for block, mat in zip(rep.blocks[i], mats):
+            local = [scales[r] for r in block.members]
+            d = Matrix.diagonal(local, f)
+            dinv = Matrix.diagonal([f.one / x for x in local], f)
+            out.append(d * mat * dinv)
+        return out
+
     return replace_parts(
         rep,
-        sigma=[d * s * dinv for s in rep.sigma],
-        kappa=[d * k * dinv for k in rep.kappa],
-        y=list(rep.y),
+        sigma=[conjugate(s, i) for i, s in enumerate(rep.sigma, 1)],
+        kappa=[conjugate(k, i) for i, k in enumerate(rep.kappa, 1)],
     )
 
 
-def set_entries(mats, index, entries):
-    """Copy of a matrix list with entries {(r, c): value} set in mats[index]."""
+def set_entries(mats, index, block, entries):
+    """Copy of the block-matrix lists ``mats`` (sigma or kappa) with entries
+    {(r, c): value}, in block coordinates, set in mats[index][block]."""
     out = list(mats)
-    mat = out[index].copy()
+    out[index] = list(out[index])
+    mat = out[index][block].copy()
     for (r, c), value in entries.items():
         mat.rows[r][c] = value
-    out[index] = mat
+    out[index][block] = mat
     return out
 
 

@@ -1,12 +1,14 @@
 """Dense references for the structured code in ``bmwtower``.
 
-The relation verifier proves every relation with dim x dim products, and
-sigma^{-1} comes from Gauss-Jordan elimination, so nothing here relies on
-the block structure of the seminormal generators; a singular sigma raises
-``SingularMatrix``.  The central scalars, power sums and intertwiners
-treat every y as a dense matrix: powers are repeated products, inverses
-come from Gauss-Jordan, and a non-diagonal y gives a verdict, not an
-error.  The chain's bulk sum adds every entry, zero or not.  All of it is
+Every reference works on the whole dim x dim matrices (``dense_parts``:
+sigma_i and kappa_i assembled from their blocks, each y as a diagonal
+matrix).  The relation verifier proves every relation with dim x dim
+products, including ``y_commute``, and sigma^{-1} comes from Gauss-Jordan
+elimination, so nothing here relies on the block structure of the
+seminormal generators; a singular sigma raises ``SingularMatrix``.  The
+central scalars, power sums and intertwiners treat every y as a dense
+matrix: powers are repeated products and inverses come from Gauss-Jordan.
+The chain's bulk sum adds every entry, zero or not.  All of it is
 slow and kept for tests at small n only.  The kappa weights of a diagram's
 steps solve a Vandermonde system against the central generating function
 instead of reading the quantum dimensions.
@@ -42,6 +44,16 @@ def vandermonde_kappa_weights(prefix, tokens, field):
     return dict(zip(tokens, solve(vand, zh)))
 
 
+def dense_parts(rep):
+    """Lists of the dense sigma_i, kappa_i (i = 1..n-1) and y_j (j = 1..n)."""
+    f = rep.field
+    return (
+        [rep.dense(i, s) for i, s in enumerate(rep.sigma, 1)],
+        [rep.dense(i, k) for i, k in enumerate(rep.kappa, 1)],
+        [Matrix.diagonal(d, f) for d in rep.y],
+    )
+
+
 def is_scalar(mat):
     """The scalar c if mat = c * identity, else None."""
     if mat.n != mat.m or mat.n == 0:
@@ -68,9 +80,7 @@ def dense_verify_relations(rep):
     u = q - qinv
     ident = Matrix.identity(rep.dim, f)
     report = Report()
-    sig = rep.sigma
-    kap = rep.kappa
-    y = rep.y
+    sig, kap, y = dense_parts(rep)
 
     for i in range(n - 2):
         lhs = sig[i] * sig[i + 1] * sig[i]
@@ -157,7 +167,7 @@ def dense_power_sum(rep, p):
     f = rep.field
     total = Matrix.zero(rep.dim, rep.dim, f)
     nu2p = f.nu_pow(2 * p)
-    for y in rep.y:
+    for y in dense_parts(rep)[2]:
         yp = Matrix.identity(rep.dim, f)
         for _ in range(p):
             yp = yp * y
@@ -169,7 +179,7 @@ def dense_central_scalars(rep, max_power=3):
     """Scalars by which Z = y_1...y_n and Z^(0..max_power) act; raises
     if any is non-scalar."""
     z = Matrix.identity(rep.dim, rep.field)
-    for y in rep.y:
+    for y in dense_parts(rep)[2]:
         z = z * y
     c = is_scalar(z)
     if c is None:
@@ -185,11 +195,11 @@ def dense_central_scalars(rep, max_power=3):
 
 def dense_intertwiner(rep, k):
     """U_{k+1} = [sigma_k, y_k - nu^2 y_{k+1}^{-1}] inside the rep (1-based k)."""
-    f = rep.field
-    nu2 = f.nu_pow(2)
-    yk = rep.y[k - 1]
-    yk1 = rep.y[k]
-    s = rep.sigma[k - 1]
+    sig, _, y = dense_parts(rep)
+    nu2 = rep.field.nu_pow(2)
+    yk = y[k - 1]
+    yk1 = y[k]
+    s = sig[k - 1]
     arg = yk - yk1.inverse().scale(nu2)
     return s * arg - arg * s
 
@@ -200,8 +210,9 @@ def dense_intertwiner_checks(rep, k):
     q = f.q
     qinv = f.q_pow(-1)
     nu2 = f.nu_pow(2)
-    yk = rep.y[k - 1]
-    yk1 = rep.y[k]
+    sigma, kappa, y = dense_parts(rep)
+    yk = y[k - 1]
+    yk1 = y[k]
     u = dense_intertwiner(rep, k)
     checks = []
     checks.append(("U_swaps_y_k", k, (u * yk).equals(yk1 * u)))
@@ -209,8 +220,8 @@ def dense_intertwiner_checks(rep, k):
     for i in range(1, rep.n + 1):
         if i in (k, k + 1):
             continue
-        checks.append((f"U_commutes_y_{i}", k, (u * rep.y[i - 1]).equals(rep.y[i - 1] * u)))
-    s = rep.sigma[k - 1]
+        checks.append((f"U_commutes_y_{i}", k, (u * y[i - 1]).equals(y[i - 1] * u)))
+    s = sigma[k - 1]
     lhs = u * (s * yk - yk * s)
     rhs = (
         (yk.scale(q) - yk1.scale(qinv))
@@ -223,7 +234,7 @@ def dense_intertwiner_checks(rep, k):
         checks.append(
             ("U_braid", k, (u * uprev * u).equals(uprev * u * uprev))
         )
-    kap = rep.kappa[k - 1]
+    kap = kappa[k - 1]
     checks.append(("kappa_U_zero", k, (kap * u).is_zero and (u * kap).is_zero))
     return checks
 
@@ -232,9 +243,10 @@ def dense_bulk(rep, coeff):
     """sum_m (sigma_m + coeff kappa_m), entry by entry over every entry."""
     f = rep.field
     rows = [[f.zero] * rep.dim for _ in range(rep.dim)]
+    sigma, kappa, _ = dense_parts(rep)
     for m in range(rep.n - 1):
-        sig = rep.sigma[m].rows
-        kap = rep.kappa[m].rows
+        sig = sigma[m].rows
+        kap = kappa[m].rows
         for r in range(rep.dim):
             for c in range(rep.dim):
                 rows[r][c] = rows[r][c] + sig[r][c] + coeff * kap[r][c]

@@ -18,10 +18,11 @@ from bmwtower.scalars import SYMBOLIC
 from conftest import (
     RATIONAL,
     cached_rep,
-    cached_report,
+    cached_verdict,
     conjugate_diagonal,
     level_vertices,
 )
+from dense_oracle import dense_parts
 
 
 def _verdict(num, ok, text):
@@ -51,9 +52,9 @@ def test_03_relation_suite():
     ok = True
     for n in range(2, 6):
         for lam in level_vertices(n):
-            ok = ok and cached_report(lam, n).ok
+            ok = ok and cached_verdict(lam, n)
     for lam in level_vertices(6):
-        ok = ok and cached_report(lam, 6, "rational").ok
+        ok = ok and cached_verdict(lam, 6, "rational")
     _verdict(3, ok, "all defining relations hold on every irrep, n<=5 "
              "symbolic and n<=6 at (q=2, nu=3)")
 
@@ -85,16 +86,10 @@ def test_05_local_case_checks():
             strings = set(rep.strings)
             f = rep.field
             for i in range(1, n):
-                for b in rep.blocks[i]:
+                for b, s, k in zip(rep.blocks[i], rep.sigma[i - 1], rep.kappa[i - 1]):
                     if b.case.tag == "3a":
-                        p = b.members[0]
                         want = f.from_int(b.case.sign) * f.q_pow(b.case.power)
-                        ok = ok and rep.sigma[i - 1].rows[p][p] == want
-                        ok = ok and all(
-                            not rep.kappa[i - 1].rows[p][s]
-                            and not rep.kappa[i - 1].rows[s][p]
-                            for s in range(rep.dim)
-                        )
+                        ok = ok and s.rows == [[want]] and k.is_zero
                     elif b.case.tag == "3b":
                         s0 = rep.strings[b.members[0]]
                         swapped = s0[: i - 1] + (s0[i], s0[i - 1]) + s0[i + 1:]
@@ -155,15 +150,16 @@ def test_09_hecke_degeneration():
     for n in range(2, 6):
         for lam in level_vertices(n):
             rep = cached_rep(lam, n)
-            if not all(k.is_zero for k in rep.kappa):
+            if not all(k.is_zero for mats in rep.kappa for k in mats):
                 continue
             qinv = rep.field.q_pow(-1)
-            for s in rep.sigma:
+            for s in dense_parts(rep)[0]:
                 ok = ok and (s.shift(-rep.field.q) * s.shift(qinv)).is_zero
             rrep = cached_rep(lam, n, "rational")
             h = chains.hamiltonian(rrep, params)
-            bare = rrep.sigma[0]
-            for s in rrep.sigma[1:]:
+            sigma = dense_parts(rrep)[0]
+            bare = sigma[0]
+            for s in sigma[1:]:
                 bare = bare + s
             ok = ok and h.bulk.equals(bare)
     _verdict(9, ok, "kappa-free irreps satisfy the quadratic relation and "

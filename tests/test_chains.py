@@ -1,6 +1,7 @@
 """Spin-chain Hamiltonians: closed forms, spectra, gauge invariance."""
 
 import cmath
+import dataclasses
 import io
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from bmwtower import repbuilder as rb
 from bmwtower.scalars import SYMBOLIC, GenericSpecialization, NonGenericPoint
 
 from conftest import RATIONAL, cached_rep, conjugate_diagonal
+from dense_oracle import dense_parts
 
 QV, NUV = 2.0, 3.0
 U = QV - 1 / QV
@@ -67,9 +69,13 @@ class TestClosedForms:
         assert abs(got - expected) < 1e-12
 
     def test_nu_plus_a_singular(self):
-        # nu = 1/q makes the kappa coefficient denominator vanish for a = -1/q
+        # nu = 1/q makes the kappa coefficient denominator vanish for a = -1/q;
+        # build_rep refuses that point (nu^2 q^2 = 1 is not generic), so the
+        # rep built at a generic point is given its field
         s = GenericSpecialization(Fraction(2), Fraction(1, 2))
-        rep = rb.build_rep((2,), 2, field=s)
+        with pytest.raises(NonGenericPoint):
+            rb.build_rep((2,), 2, field=s)
+        rep = dataclasses.replace(cached_rep((2,), 2, "rational"), field=s)
         with pytest.raises(chains.SingularParameter):
             chains.hamiltonian(rep, chains.ChainParams("-1/q", 5j, waive_xi=True))
 
@@ -131,10 +137,11 @@ class TestSpectra:
         """Where every kappa vanishes the kappa coefficient is irrelevant:
         the chain equals the bare sigma sum plus boundary."""
         rep = cached_rep((4,), 4, "rational")
-        assert all(k.is_zero for k in rep.kappa)
+        assert all(k.is_zero for mats in rep.kappa for k in mats)
         h = chains.hamiltonian(rep, std_params())
-        bare = rep.sigma[0]
-        for s in rep.sigma[1:]:
+        sigma = dense_parts(rep)[0]
+        bare = sigma[0]
+        for s in sigma[1:]:
             bare = bare + s
         assert h.bulk.equals(bare)
 

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -133,6 +134,29 @@ class TestOneVerificationPerIrrep:
         failed = {tuple(e["lambda"]): e["failures"]
                   for e in json.loads(out)["irreps"] if not e["ok"]}
         assert failed == {(1, 1): [{"name": "braid", "index": 2, "detail": ""}]}
+
+
+class TestStdoutDigests:
+    """The sha256 of stdout for a few commands, recorded while sigma and
+    kappa were still stored as dense matrices and every y as a diagonal
+    matrix: storing them as blocks and diagonals changes no output byte."""
+
+    @pytest.mark.parametrize("argv, digest", [
+        ("rep --lambda 1,1 --n 4",
+         "958915f5cd8aa7a77a1591c51f28fecf8cbee64cb88ad2f12aad65e0b1b7e4f5"),
+        ("rep --lambda 2 --n 4 --flip-content",
+         "4032aa1d72e69adc1205a630511bc4022f3743a4a7e5c4765f8bebf8b6f3479a"),
+        ("rep --lambda 1 --n 3",
+         "4716bbb31657fb98668dbb3b8ebe8668f015f4e119016422f66a66f37add6334"),
+        ("rep --lambda 1,1 --n 6 --mode rational",
+         "1030a36c55d5d687d475c1559b1a682884db69ab79fa646236bd0331d24e4408"),
+        ("verify --n 4",
+         "4e17cd15f98a4b09d773f818fce0e3d29749872b2a24beb7d915f3c36e2eec12"),
+    ])
+    def test_stdout_sha256(self, argv, digest, capsys):
+        status, out = run_cli(argv.split(), capsys)
+        assert status == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestUsageErrors:

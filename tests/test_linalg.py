@@ -1,4 +1,4 @@
-"""Zero-skipping elementwise kernels and the diagonal read-off of Matrix."""
+"""Zero-skipping elementwise kernels of Matrix."""
 
 from fractions import Fraction
 
@@ -65,31 +65,3 @@ ZERO = SYMBOLIC.zero
 ])
 def test_kernels_on_scalar_fractions(a_rows, b_rows, c):
     _check_kernels(a_rows, b_rows, c, SYMBOLIC)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(1, 5).flatmap(lambda n: st.lists(entries, min_size=n, max_size=n)))
-def test_diagonal_entries_of_a_diagonal(diag):
-    assert Matrix.diagonal(diag, RATIONAL).diagonal_entries() == diag
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(2, 5).flatmap(lambda n: st.tuples(
-    st.lists(entries, min_size=n, max_size=n),
-    st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda rc: rc[0] != rc[1]),
-    st.fractions(-3, 3, max_denominator=4).filter(bool),
-)))
-def test_diagonal_entries_rejects_an_off_diagonal_entry(case):
-    diag, (r, c), x = case
-    mat = Matrix.diagonal(diag, RATIONAL)
-    mat.rows[r][c] = x
-    with pytest.raises(ValueError, match="off-diagonal"):
-        mat.diagonal_entries()
-
-
-def test_diagonal_entries_needs_a_square_matrix():
-    with pytest.raises(ValueError, match="no diagonal"):
-        Matrix.zero(2, 3, RATIONAL).diagonal_entries()
-    assert Matrix.diagonal([Q, NU], SYMBOLIC).diagonal_entries() == [Q, NU]
-    with pytest.raises(ValueError, match="off-diagonal"):
-        Matrix([[Q, ZERO], [NU, NU]], SYMBOLIC).diagonal_entries()

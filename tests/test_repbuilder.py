@@ -7,11 +7,16 @@ import pytest
 from bmwtower import combinatorics as comb
 from bmwtower import gauge
 from bmwtower import repbuilder as rb
-from bmwtower.linalg import Matrix
-from bmwtower.scalars import SYMBOLIC
+from bmwtower.scalars import (
+    SYMBOLIC,
+    GenericSpecialization,
+    NonGenericPoint,
+    check_generic,
+)
 from bmwtower.spectrum import Token
 
-from conftest import cached_rep, cached_report, conjugate_diagonal, level_vertices
+from conftest import cached_rep, cached_verdict, conjugate_diagonal, level_vertices
+from dense_oracle import dense_parts
 
 Q = SYMBOLIC.q
 NU = SYMBOLIC.nu
@@ -76,27 +81,36 @@ class TestSmallReps:
     def test_empty_at_2(self):
         rep = cached_rep((), 2)
         assert rep.dim == 1
-        assert rep.sigma[0].rows[0][0] == NU
-        assert rep.kappa[0].rows[0][0] == mu_value()
-        assert rep.y[1].rows[0][0] == SYMBOLIC.nu_pow(2)
+        assert rep.sigma[0][0].rows[0][0] == NU
+        assert rep.kappa[0][0].rows[0][0] == mu_value()
+        assert rep.y[1][0] == SYMBOLIC.nu_pow(2)
 
     def test_row_two_at_2(self):
         rep = cached_rep((2,), 2)
         assert rep.dim == 1
-        assert rep.sigma[0].rows[0][0] == Q
-        assert not rep.kappa[0].rows[0][0]
-        assert rep.y[1].rows[0][0] == SYMBOLIC.q_pow(2)
+        assert rep.sigma[0][0].rows[0][0] == Q
+        assert not rep.kappa[0][0].rows[0][0]
+        assert rep.y[1][0] == SYMBOLIC.q_pow(2)
 
     def test_one_at_3_verifies(self):
         rep = cached_rep((1,), 3)
         assert rep.dim == 3
-        assert cached_report((1,), 3).ok
+        assert cached_verdict((1,), 3)
+
+    @pytest.mark.parametrize("verify", [True, False])
+    @pytest.mark.parametrize("point", [(2, 8), (2, 2), (2, 1)])
+    def test_non_generic_point_is_rejected(self, point, verify):
+        s = GenericSpecialization(*point)
+        assert not check_generic(s, 3)
+        message = r"^\(q=2, nu=\d\) is not generic at level 3$"
+        with pytest.raises(NonGenericPoint, match=message):
+            rb.build_rep((1,), 3, field=s, verify=verify)
 
     def test_perturbed_rep_fails_braid(self):
         rep = cached_rep((1,), 3)
         bad = rb.SeminormalRep(
             rep.lam, rep.n, rep.paths, rep.strings,
-            [rep.sigma[0], rep.sigma[1].shift(ONE)],
+            [rep.sigma[0], [s.shift(ONE) for s in rep.sigma[1]]],
             rep.kappa, rep.y, rep.blocks, rep.field,
         )
         report = rb.verify_relations(bad)
@@ -123,18 +137,12 @@ class TestLocalCases:
             rep = cached_rep(lam, n)
             f = rep.field
             for i in range(1, n):
-                for b in rep.blocks[i]:
+                for b, s, k in zip(rep.blocks[i], rep.sigma[i - 1], rep.kappa[i - 1]):
                     if b.case.tag != "3a":
                         continue
-                    p = b.members[0]
                     expected = f.from_int(b.case.sign) * f.q_pow(b.case.power)
-                    assert rep.sigma[i - 1].rows[p][p] == expected
-                    for s in range(rep.dim):
-                        if s != p:
-                            assert not rep.sigma[i - 1].rows[p][s]
-                            assert not rep.sigma[i - 1].rows[s][p]
-                        assert not rep.kappa[i - 1].rows[p][s]
-                        assert not rep.kappa[i - 1].rows[s][p]
+                    assert s.rows == [[expected]]
+                    assert k.is_zero
 
     @pytest.mark.parametrize("n", range(2, 6))
     def test_hecke_pair_swap_in_spectrum(self, n):
@@ -158,10 +166,9 @@ class TestHeckeDegeneration:
         qinv = f.q_pow(-1)
         for lam in level_vertices(n):
             rep = cached_rep(lam, n)
-            if not all(k.is_zero for k in rep.kappa):
+            if not all(k.is_zero for mats in rep.kappa for k in mats):
                 continue
-            ident = Matrix.identity(rep.dim, f)
-            for s in rep.sigma:
+            for s in dense_parts(rep)[0]:
                 assert ((s.shift(-Q)) * (s.shift(qinv))).is_zero
 
 
@@ -173,21 +180,25 @@ class TestGaugeInvariance:
         assert rb.verify_relations(conj).ok
 
     @staticmethod
-    def _repair(sig):
+    def _dense():
+        """Dense sigma_1..3 and kappa_1..3 of (2,)@4."""
+        return dense_parts(cached_rep((2,), 4, "rational"))[:2]
+
+    def _repair(self, sig):
         """Test sigma_3 of (2,)@4 against the built sigma_2."""
-        rep = cached_rep((2,), 4, "rational")
-        return gauge.repair_position(rep.sigma[1], sig, rep.kappa[2])
+        sigma, kappa = self._dense()
+        return gauge.repair_position(sigma[1], sig, kappa[2])
 
     def test_built_sigma_passes_unchanged(self):
-        rep = cached_rep((2,), 4, "rational")
-        sig, kap, scales = self._repair(rep.sigma[2])
+        sigma, kappa = self._dense()
+        sig, kap, scales = gauge.repair_position(sigma[1], sigma[2], kappa[2])
         assert scales is None
-        assert sig is rep.sigma[2] and kap is rep.kappa[2]
+        assert sig is sigma[2] and kap is kappa[2]
 
     @pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 2), (3, 4), (5, 5)])
     def test_repair_rejects_non_gauge_sigma(self, entry):
         """A change to one entry of sigma breaks the braid identity."""
-        bad = cached_rep((2,), 4, "rational").sigma[2].copy()
+        bad = self._dense()[0][2]
         i, j = entry
         bad.rows[i][j] = bad.rows[i][j] + 1
         with pytest.raises(gauge.GaugeRepairFailed):

@@ -25,8 +25,12 @@ def _oracle_ok(rep):
 
 
 def _relations(report):
+    """The checks made, apart from ``block_structure``, which only the block
+    verifier makes, and ``y_commute``, which holds by the storage's type
+    there and which only the oracle makes."""
     return Counter(
-        (c.name, c.index, c.detail) for c in report.checks if c.name != "block_structure"
+        (c.name, c.index, c.detail) for c in report.checks
+        if c.name not in ("block_structure", "y_commute")
     )
 
 
@@ -34,26 +38,18 @@ def _perturbations(rep):
     """(label, perturbed rep) pairs, each breaking one entry or block."""
     f = rep.field
     for i in range(1, rep.n):
-        blocks = rep.blocks[i]
-        first = blocks[0].members
-        r, c = first[0], first[-1]
-        bumped = rep.sigma[i - 1].rows[r][c] + f.one
+        size = rep.blocks[i][0].size
+        bumped = rep.sigma[i - 1][0].rows[0][size - 1] + f.one
         yield f"in-block sigma_{i}", replace_parts(
-            rep, sigma=set_entries(rep.sigma, i - 1, {(r, c): bumped}))
-        if len(blocks) > 1:
-            other = blocks[1].members[0]
-            yield f"off-block sigma_{i}", replace_parts(
-                rep, sigma=set_entries(rep.sigma, i - 1, {(r, other): f.one}))
-            yield f"off-block kappa_{i}", replace_parts(
-                rep, kappa=set_entries(rep.kappa, i - 1, {(other, r): f.one}))
-        zeros = {(a, b): f.zero for a in first for b in first}
+            rep, sigma=set_entries(rep.sigma, i - 1, 0, {(0, size - 1): bumped}))
+        zeros = {(a, b): f.zero for a in range(size) for b in range(size)}
         yield f"singular sigma_{i} block", replace_parts(
-            rep, sigma=set_entries(rep.sigma, i - 1, zeros))
+            rep, sigma=set_entries(rep.sigma, i - 1, 0, zeros))
         yield from _kappa_perturbations(rep, i)
-    if rep.dim > 1:
-        for j in range(rep.n):
-            yield f"off-diagonal y_{j + 1}", replace_parts(
-                rep, y=set_entries(rep.y, j, {(0, rep.dim - 1): f.one}))
+    for j in range(rep.n):
+        y = list(rep.y)
+        y[j] = [y[j][0] + f.one] + y[j][1:]
+        yield f"changed y_{j + 1} entry", replace_parts(rep, y=y)
 
 
 def _kappa_perturbations(rep, i):
@@ -63,26 +59,24 @@ def _kappa_perturbations(rep, i):
     block, with kappa_i there set by the kappa definition, so that
     kappa_definition holds on it and the cubic does not."""
     f = rep.field
-    single = next((b for b in rep.blocks[i] if b.size == 1), None)
+    blocks = list(enumerate(rep.blocks[i]))
+    single = next((bi for bi, b in blocks if b.size == 1), None)
     if single is not None:
-        (r,) = single.members
-        x = rep.sigma[i - 1].rows[r][r] + 2
+        x = rep.sigma[i - 1][single].rows[0][0] + 2
         qinv = f.q_pow(-1)
         k = (f.q - x) * (x + qinv) / (f.nu * (f.q - qinv))
         yield f"defined kappa_{i} of a changed sigma_{i}", replace_parts(
-            rep, sigma=set_entries(rep.sigma, i - 1, {(r, r): x}),
-            kappa=set_entries(rep.kappa, i - 1, {(r, r): k}))
-    block = next(
-        (b for b in rep.blocks[i] if b.case.tag == "4" and b.size == 3), None)
-    if block is None:
+            rep, sigma=set_entries(rep.sigma, i - 1, single, {(0, 0): x}),
+            kappa=set_entries(rep.kappa, i - 1, single, {(0, 0): k}))
+    bi = next((bi for bi, b in blocks if b.case.tag == "4" and b.size == 3), None)
+    if bi is None:
         return
-    kap = rep.kappa[i - 1]
-    r, c = block.members[0], block.members[1]
+    kap = rep.kappa[i - 1][bi]
     yield f"rank-two kappa_{i} block", replace_parts(
-        rep, kappa=set_entries(rep.kappa, i - 1, {(r, c): kap.rows[r][c] + f.one}))
-    doubled = {(a, b): kap.rows[a][b] * 2 for a in block.members for b in block.members}
+        rep, kappa=set_entries(rep.kappa, i - 1, bi, {(0, 1): kap.rows[0][1] + f.one}))
+    doubled = {(a, b): kap.rows[a][b] * 2 for a in range(3) for b in range(3)}
     yield f"doubled kappa_{i} block", replace_parts(
-        rep, kappa=set_entries(rep.kappa, i - 1, doubled))
+        rep, kappa=set_entries(rep.kappa, i - 1, bi, doubled))
 
 
 @pytest.mark.parametrize("mode", ["symbolic", "rational"])
@@ -115,12 +109,11 @@ def test_case_4_blocks_take_the_rank_one_path(mode, n):
     for lam in level_vertices(n):
         rep = cached_rep(lam, n, mode)
         for i in range(1, n):
-            for b in rep.blocks[i]:
-                lb = rb._LocalBlock.of(rep, i, b)
-                if b.case.tag != "4" or lb.k.is_zero:
+            for lb in rb._LocalBlock.at(rep, i):
+                if lb.block.case.tag != "4" or lb.k.is_zero:
                     continue
-                assert lb.rank_one, (lam, n, i, b.members)
-                assert len(set(lb.prefixes)) == 1, (lam, n, i, b.members)
+                assert lb.rank_one, (lam, n, i, lb.block.members)
+                assert len(set(lb.prefixes)) == 1, (lam, n, i, lb.block.members)
 
 
 @pytest.mark.parametrize("mode, levels", [("symbolic", range(2, 4)),
@@ -139,8 +132,8 @@ def test_kappa_perturbations_reduce_like_the_oracle(mode, levels):
             rep = cached_rep(lam, n, mode)
             for i in range(1, n):
                 for label, bad in _kappa_perturbations(rep, i):
-                    ranked = [rb._LocalBlock.of(bad, i, b).rank_one
-                              for b in bad.blocks[i] if b.size == 3]
+                    ranked = [lb.rank_one for lb in rb._LocalBlock.at(bad, i)
+                              if lb.block.size == 3]
                     assert (None in ranked) == label.startswith("rank-two"), label
                     got = verdicts(rb.verify_relations(bad))
                     want = verdicts(dense_verify_relations(bad))
@@ -168,6 +161,47 @@ def test_block_structure_rejects_a_non_partition():
     blocks[2] = blocks[2][1:]
     report = rb.verify_relations(replace_parts(rep, blocks=blocks))
     assert [(c.name, c.index) for c in report.failures()] == [("block_structure", 2)]
+
+
+def _reshaped(rep, i):
+    """(label, rep) pairs whose sigma_i or kappa_i block matrices do not
+    fit rep.blocks[i]: one of a wrong size, one missing, one extra."""
+    bigger = Matrix.identity(rep.blocks[i][0].size + 1, rep.field)
+    for name in ("sigma", "kappa"):
+        mats = getattr(rep, name)
+        for label, at_i in [("wrong-size", [bigger] + mats[i - 1][1:]),
+                            ("missing", mats[i - 1][:-1]),
+                            ("extra", mats[i - 1] + [mats[i - 1][0]])]:
+            out = list(mats)
+            out[i - 1] = at_i
+            yield f"{label} {name}_{i} block", replace_parts(rep, **{name: out})
+
+
+@pytest.mark.parametrize("mode, lam, n", [("rational", (1,), 5),
+                                          ("symbolic", (1, 1), 4)])
+def test_block_structure_rejects_misfit_block_matrices(mode, lam, n):
+    rep = cached_rep(lam, n, mode)
+    for i in range(1, n):
+        for label, bad in _reshaped(rep, i):
+            report = rb.verify_relations(bad)
+            assert [(c.name, c.index) for c in report.failures()] == [
+                ("block_structure", i)], label
+
+
+@pytest.mark.parametrize("mode, n", [*(("symbolic", n) for n in range(1, 6)),
+                                     *(("rational", n) for n in range(1, 7))])
+def test_storage_is_blocks_and_diagonals(mode, n):
+    """A rep holds no dim x dim matrix: sigma_i and kappa_i are one matrix of
+    its block's size per block of rep.blocks[i], and every y a diagonal."""
+    for lam in level_vertices(n):
+        rep = cached_rep(lam, n, mode)
+        assert len(rep.sigma) == len(rep.kappa) == n - 1
+        for i in range(1, n):
+            sizes = [(b.size, b.size) for b in rep.blocks[i]]
+            assert [(m.n, m.m) for m in rep.sigma[i - 1]] == sizes
+            assert [(m.n, m.m) for m in rep.kappa[i - 1]] == sizes
+        assert [len(d) for d in rep.y] == [rep.dim] * n
+        assert not any(isinstance(x, Matrix) for d in rep.y for x in d)
 
 
 def test_no_matrix_is_inverted(monkeypatch):
