@@ -6,6 +6,11 @@ Z[q, nu].  sympy is imported inside ``reduce_fraction``, so runs that never
 reduce a symbolic fraction (rational mode, the combinatorial commands) never
 import it.  Laurent monomial units are irrelevant here: callers normalize
 monomial content separately.
+
+``scalars`` calls it on a fraction whose sides both have more than one
+term, on the two denominators of a sum, and on a numerator and the other
+operand's denominator in a product; the ``scalars`` module docstring says
+when.
 """
 
 from __future__ import annotations

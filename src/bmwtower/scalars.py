@@ -1,11 +1,24 @@
 """Exact arithmetic in the coefficient field Q(q, nu).
 
 Elements are fractions of integer-coefficient Laurent polynomials in the
-two variables q and nu.  Whenever numerator and denominator both have more
-than one term, their bivariate polynomial gcd is divided out
-(``polygcd.reduce_fraction``); monomial content and integer content are
-always normalized away.  Equality is decided by cross-multiplication, which
-is exact whether or not a pair was reduced.
+two variables q and nu, always in lowest terms and normalized (see
+``ScalarFraction``).  Because every operand is already reduced, the field
+operations divide out a bivariate polynomial gcd (``polygcd.reduce_fraction``)
+only where a common factor can arise (Henrici's method for reduced
+fractions, Knuth, TAOCP vol. 2, 4.5.1):
+
+- ``-x`` and ``1/x`` never reduce, nor does ``x + y`` with a zero operand;
+- ``x + y`` over equal denominators reduces the sum once;
+- otherwise ``x + y`` reduces nothing when the denominators' exponents
+  prove them coprime (``_coprime``; a single-term denominator always
+  does), and else reduces the two denominators against each other, then
+  the sum over their lcm only when they share a polynomial factor;
+- ``x * y`` reduces each numerator against the other denominator unless
+  their exponents prove them coprime, and never the product.
+
+Monomial content and integer content are normalized away without a gcd.
+Equality is decided by cross-multiplication, which is exact whether or not
+a pair was reduced.
 
 A ``GenericSpecialization`` maps everything to ``fractions.Fraction`` for
 fast numeric runs; ``check_generic`` guards the eigenvalue-separation
@@ -14,6 +27,7 @@ assumptions that the seminormal construction relies on.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from math import gcd
@@ -129,11 +143,14 @@ class NonGenericPoint(ArithmeticError):
 
 
 class ScalarFraction:
-    """Element of Q(q, nu) as a normalized pair of Laurent polynomials.
+    """Element of Q(q, nu) as a canonical pair of Laurent polynomials.
 
-    Normalization: the denominator's lexicographically least exponent is
-    (0, 0) with positive coefficient, and the common integer content of
-    numerator and denominator is divided out.
+    Canonical: numerator and denominator have no common factor but a unit,
+    the denominator's lexicographically least exponent is (0, 0) with a
+    positive coefficient, and the common integer content of numerator and
+    denominator is divided out.  The constructor reduces any pair whose
+    sides both have more than one term; the operators build their results
+    in this form directly, with a gcd only where one can be nontrivial.
     """
 
     __slots__ = ("num", "den")
@@ -143,28 +160,9 @@ class ScalarFraction:
             den = _ONE_POLY
         if den.is_zero:
             raise ZeroDivision("division by zero in Q(q, nu)")
-        if num.is_zero:
-            self.num = num
-            self.den = _ONE_POLY
-            return
         if len(num.terms) > 1 and len(den.terms) > 1:
-            nt, dt = reduce_fraction(num.terms, den.terms)
-            num = LaurentPoly()
-            num.terms = nt
-            den = LaurentPoly()
-            den.terms = dt
-        e = den.min_exponent()
-        if e != (0, 0):
-            num = num.shift(-e[0], -e[1])
-            den = den.shift(-e[0], -e[1])
-        if den.terms[(0, 0)] < 0:
-            num, den = -num, -den
-        g = gcd(num.content(), den.content())
-        if g > 1:
-            num = num.divide_int(g)
-            den = den.divide_int(g)
-        self.num = num
-        self.den = den
+            num, den = _reduced(num, den)
+        self.num, self.den = _normalized(num, den)
 
     @staticmethod
     def from_int(c):
@@ -192,16 +190,28 @@ class ScalarFraction:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.den.terms == other.den.terms:
-            return ScalarFraction(self.num + other.num, self.den)
-        return ScalarFraction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        if not other.num.terms:
+            return self
+        if not self.num.terms:
+            return other
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if b.terms == d.terms:
+            return ScalarFraction(a + c, b)
+        if _coprime(b, d):
+            # a/b and c/d are reduced and gcd(b, d) is an integer times a
+            # monomial, so any common factor of the sum is such a constant
+            return _canonical(a * d + c * b, b * d)
+        # b/d = b1/d1 in lowest terms, so b * d1 is the lcm of b and d
+        b1, d1 = _reduced(b, d)
+        if _same_shape(d1, d):
+            return _canonical(a * d1 + c * b1, b * d1)
+        # gcd(b, d) is a polynomial: the sum may keep a factor of it
+        return ScalarFraction(a * d1 + c * b1, b * d1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ScalarFraction(-self.num, self.den)
+        return _canonical(-self.num, self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -216,19 +226,22 @@ class ScalarFraction:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        # cheap structural cancellations keep sizes down without any gcd
-        if self.num.terms == other.den.terms:
-            return ScalarFraction(other.num, self.den)
-        if other.num.terms == self.den.terms:
-            return ScalarFraction(self.num, other.den)
-        return ScalarFraction(self.num * other.num, self.den * other.den)
+        if not self.num.terms:
+            return self
+        if not other.num.terms:
+            return other
+        # cancel each numerator against the other denominator; each pair
+        # is then coprime up to a constant, and so is the product
+        a, d = _cross_cancel(self.num, other.den)
+        c, b = _cross_cancel(other.num, self.den)
+        return _canonical(a * c, b * d)
 
     __rmul__ = __mul__
 
     def invert(self):
         if self.num.is_zero:
             raise ZeroDivision("division by zero in Q(q, nu)")
-        return ScalarFraction(self.den, self.num)
+        return _canonical(self.den, self.num)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -270,6 +283,85 @@ class ScalarFraction:
 
     def __repr__(self):
         return f"<{format_scalar(self)}>"
+
+
+def _reduced(num, den):
+    """num/den with their polynomial gcd divided out (``reduce_fraction``)."""
+    nt, dt = reduce_fraction(num.terms, den.terms)
+    out_num, out_den = LaurentPoly(), LaurentPoly()
+    out_num.terms, out_den.terms = nt, dt
+    return out_num, out_den
+
+
+def _same_shape(p, r):
+    """True when p and r have the same exponents up to one shift.  For
+    p = r / h that holds exactly when h is an integer times a monomial: an h
+    with two or more terms makes r's Newton polygon wider than p's."""
+    if len(p.terms) != len(r.terms):
+        return False
+    (pq, pn), (rq, rn) = p.min_exponent(), r.min_exponent()
+    return all((zq - pq + rq, zn - pn + rn) in r.terms for zq, zn in p.terms)
+
+
+def _coprime(p, r):
+    """True when gcd(p, r) is an integer times a monomial by their exponents
+    alone: one side is a single term, or one side's terms lie on one line
+    and the other side has a lone term on some line parallel to it.
+
+    Terms on one line make a monomial times a polynomial f(t), where
+    t = q^a nu^b for the line's primitive direction (a, b), and every
+    factor of f(t) is a polynomial in t.  The parallel lines, told apart by
+    b zq - a znu (or any multiple of it), split the other side into
+    polynomials in t times monomials off the line, so a factor in t divides
+    it only by dividing each part; a lone term is a monomial, which no
+    polynomial in t with two or more terms divides.
+    """
+    if len(p.terms) == 1 or len(r.terms) == 1:
+        return True
+    for line, other in ((p, r), (r, p)):
+        (zq0, zn0), *rest = line.terms
+        a, b = rest[0][0] - zq0, rest[0][1] - zn0
+        if all((zq - zq0) * b == (zn - zn0) * a for zq, zn in rest):
+            lines = Counter(b * zq - a * zn for zq, zn in other.terms)
+            if 1 in lines.values():
+                return True
+    return False
+
+
+def _cross_cancel(num, den):
+    """num, den without their common factor, for a numerator of one operand
+    of a product and the denominator of the other."""
+    if _coprime(num, den):
+        return num, den
+    return _reduced(num, den)
+
+
+def _normalized(num, den):
+    """The normalized pair for num/den, given that gcd(num, den) is an
+    integer times a monomial: the denominator's lexicographically least
+    exponent becomes (0, 0) with a positive coefficient, and the common
+    integer content is divided out."""
+    if num.is_zero:
+        return num, _ONE_POLY
+    e = den.min_exponent()
+    if e != (0, 0):
+        num = num.shift(-e[0], -e[1])
+        den = den.shift(-e[0], -e[1])
+    if den.terms[(0, 0)] < 0:
+        num, den = -num, -den
+    g = gcd(num.content(), den.content())
+    if g > 1:
+        num = num.divide_int(g)
+        den = den.divide_int(g)
+    return num, den
+
+
+def _canonical(num, den):
+    """num/den as a ScalarFraction without a gcd, for a pair whose gcd is
+    known to be an integer times a monomial."""
+    out = ScalarFraction.__new__(ScalarFraction)
+    out.num, out.den = _normalized(num, den)
+    return out
 
 
 class SymbolicField:

@@ -137,9 +137,13 @@ class TestOneVerificationPerIrrep:
 
 
 class TestStdoutDigests:
-    """The sha256 of stdout for a few commands, recorded while sigma and
-    kappa were still stored as dense matrices and every y as a diagonal
-    matrix: storing them as blocks and diagonals changes no output byte."""
+    """The sha256 of stdout for a few commands.  The first five were
+    recorded while sigma and kappa were still stored as dense matrices and
+    every y as a diagonal matrix: storing them as blocks and diagonals
+    changes no output byte.  The symbolic benchmark jobs (the last three)
+    were recorded while every sum and product in Q(q, nu) still reduced its
+    whole cross product by one gcd: skipping or shrinking that gcd where
+    the result is provably reduced changes no output byte either."""
 
     @pytest.mark.parametrize("argv, digest", [
         ("rep --lambda 1,1 --n 4",
@@ -152,6 +156,12 @@ class TestStdoutDigests:
          "1030a36c55d5d687d475c1559b1a682884db69ab79fa646236bd0331d24e4408"),
         ("verify --n 4",
          "4e17cd15f98a4b09d773f818fce0e3d29749872b2a24beb7d915f3c36e2eec12"),
+        ("rep --lambda 1,1,1 --n 5",
+         "906b85aa477f5d31c523aee48ca43d4eda8d6ee820a61bf4c1beb17c3181c6ac"),
+        ("rep --lambda= --n 4",
+         "8392945c8b0dbd1c45666ee12fa01a45385d2a543cabbb3dbf374269e21c9d58"),
+        ("central --n 4",
+         "9bf3e3cf95bd557fba1c7931f412ec67afd61e1df40ac10e667d9a6648afa97c"),
     ])
     def test_stdout_sha256(self, argv, digest, capsys):
         status, out = run_cli(argv.split(), capsys)

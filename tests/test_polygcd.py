@@ -33,8 +33,8 @@ def test_reduction_preserves_value(f, g, h):
     assert _mul(num, d2) == _mul(den, n2)
 
 
-def _gcd_is_unit(a, b):
-    """True when a and b, shifted to nonnegative exponents, have gcd +-1."""
+def _gcd(a, b):
+    """The gcd in Z[q, v] of a and b, each shifted to nonnegative exponents."""
     r = ring("q, v", ZZ)[0]
 
     def poly(terms):
@@ -42,7 +42,12 @@ def _gcd_is_unit(a, b):
         mv = min(e[1] for e in terms)
         return r.from_dict({(zq - mq, zv - mv): c for (zq, zv), c in terms.items()})
 
-    g = poly(a).gcd(poly(b))
+    return poly(a).gcd(poly(b))
+
+
+def _gcd_is_unit(a, b):
+    """True when a and b, shifted to nonnegative exponents, have gcd +-1."""
+    g = _gcd(a, b)
     return g.is_ground and g.LC in (1, -1)
 
 

@@ -1,17 +1,23 @@
 """Exact coefficient field: arithmetic, normalization, parsing, series."""
 
 from fractions import Fraction
+from functools import reduce
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_polygcd import _gcd, _gcd_is_unit
 
+from bmwtower.polygcd import reduce_fraction
 from bmwtower.scalars import (
     SYMBOLIC,
     GenericSpecialization,
+    LaurentPoly,
     NonGenericPoint,
     ScalarFraction,
     TruncatedSeries,
+    _coprime,
     check_generic,
     format_scalar,
     parse_scalar,
@@ -75,6 +81,105 @@ class TestFieldOps:
         assert x * y == y * x
         if x:
             assert x * (ONE / x) == ONE
+
+
+# -- oracle: the canonical pair by definition, one reduction of the cross
+# products that an operation's value is --
+
+def _oracle(num, den):
+    """(num terms, den terms) of num/den put through reduce_fraction once
+    (when both sides have more than one term), then normalized: least
+    denominator exponent (0, 0) with a positive coefficient, common integer
+    content divided out."""
+    if num.is_zero:
+        return {}, {(0, 0): 1}
+    nt, dt = num.terms, den.terms
+    if len(nt) > 1 and len(dt) > 1:
+        nt, dt = reduce_fraction(nt, dt)
+    zq, zn = min(dt)
+    sign = 1 if dt[(zq, zn)] > 0 else -1
+    g = reduce(gcd, list(nt.values()) + list(dt.values())) * sign
+    return tuple(
+        {(a - zq, b - zn): c // g for (a, b), c in terms.items()}
+        for terms in (nt, dt)
+    )
+
+
+nums_st = st.dictionaries(exps, coeffs, max_size=3)
+dens_st = st.dictionaries(exps, coeffs.filter(bool), min_size=1, max_size=3)
+ONE_D = {(0, 0): 1}
+Q_MINUS_1 = {(1, 0): 1, (0, 0): -1}
+Q_PLUS_1 = {(1, 0): 1, (0, 0): 1}
+Q_PLUS_2 = {(1, 0): 1, (0, 0): 2}
+
+
+class TestReducedOperands:
+    """Sums, products, quotients, negations and inverses of canonical
+    operands are the canonical pair of their value, whichever shortcut
+    skips or shrinks the gcd: structurally equal to the oracle, with
+    numerator and denominator coprime.  The operands are n1/(f g1) and
+    n2/(f g2), so their denominators share the factor f."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(nums_st, dens_st, nums_st, dens_st, dens_st)
+    # a zero operand
+    @example({}, ONE_D, Q_PLUS_1, {(0, 0): 1, (0, 1): -1}, Q_PLUS_1)
+    # -1 with (q + 1)/(q - 1), and 3 q nu^-1 / 2 with (nu + 1)/(2 q + 1)
+    @example({(0, 0): -1}, ONE_D, Q_PLUS_1, Q_MINUS_1, ONE_D)
+    @example({(1, -1): 3}, {(0, 0): 2}, {(0, 1): 1, (0, 0): 1},
+             {(1, 0): 2, (0, 0): 1}, ONE_D)
+    # 1/(2q + 2) and 1/(2q - 2): the denominators share only the content 2
+    @example(ONE_D, Q_PLUS_1, ONE_D, Q_MINUS_1, {(0, 0): 2})
+    # 1/((q - 1)(q + 1)) and 1/((q - 1)(q + 2)) share the factor q - 1
+    @example(ONE_D, Q_PLUS_1, ONE_D, Q_PLUS_2, Q_MINUS_1)
+    # 2/((q - 1)(q + 1)) - 3/((q - 1)(q + 2)) = -1/((q + 1)(q + 2))
+    @example({(0, 0): 2}, Q_PLUS_1, {(0, 0): 3}, Q_PLUS_2, Q_MINUS_1)
+    # (q + 2)/((q - 1)(q + 1)) / (1/((q - 1)(q + 2))): cross cancellation
+    @example(Q_PLUS_2, Q_PLUS_1, ONE_D, Q_PLUS_2, Q_MINUS_1)
+    # (q + 1)/(q + 2) * (q + 2)/(q + 1): each numerator is the other's
+    # denominator
+    @example(Q_PLUS_1, Q_PLUS_2, Q_PLUS_2, Q_PLUS_1, ONE_D)
+    def test_matches_one_reduction(self, n1, g1, n2, g2, f):
+        shared = LaurentPoly(f)
+        x = ScalarFraction(LaurentPoly(n1), shared * LaurentPoly(g1))
+        y = ScalarFraction(LaurentPoly(n2), shared * LaurentPoly(g2))
+        a, b, c, d = x.num, x.den, y.num, y.den
+        cases = [
+            (x + y, a * d + c * b, b * d),
+            (x - y, a * d - c * b, b * d),
+            (x * y, a * c, b * d),
+            (-x, -a, b),
+        ]
+        if y:
+            cases.append((x / y, a * d, b * c))
+        if x:
+            cases.append((ONE / x, b, a))
+        for result, num, den in cases:
+            assert (result.num.terms, result.den.terms) == _oracle(num, den)
+            if result:
+                assert _gcd_is_unit(result.num.terms, result.den.terms)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(any),
+           st.lists(coeffs.filter(bool), min_size=2, max_size=3),
+           dens_st, st.booleans())
+    # q^2 - 1 against (q - nu)(q^2 - 1): every line in q holds two terms
+    @example((1, 0), [-1, 0, 1], {(1, 0): 1, (0, 1): -1}, True)
+    # q^2 - 1 against q - nu: the lines in q hold one term each
+    @example((1, 0), [-1, 0, 1], {(1, 0): 1, (0, 1): -1}, False)
+    def test_coprime_supports_imply_constant_gcd(self, step, cs, r, share):
+        """p = f(q^a nu^b) on a line; r shares a factor of p when asked."""
+        a, b = step
+        p = {(k * a, k * b): c for k, c in enumerate(cs) if c}
+        if share:
+            r = (LaurentPoly(r) * LaurentPoly(p)).terms
+        if _coprime(LaurentPoly(p), LaurentPoly(r)):
+            assert _gcd(p, r).is_ground
+
+    def test_partial_cancellation(self):
+        x = parse_scalar("2/((q - 1)*(q + 1))")
+        y = parse_scalar("3/((q - 1)*(q + 2))")
+        assert format_scalar(x - y) == "(-1)/(q^2 + 3*q + 2)"
 
 
 class TestEquality:
