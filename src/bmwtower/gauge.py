@@ -3,10 +3,12 @@
 ``repbuilder`` builds every block in a braid-consistent normalization (see
 ``repbuilder._partner_scale``), so no diagonal gauge has to be solved for.
 ``repair_position`` keeps the test that the construction gets right: the
-braid identity between sigma_{i-1} and sigma_i.  ``verify_relations`` runs
-it as its ``braid`` check, and ``build_rep`` runs it while building only
-when no verification follows, so each build computes the braid products
-once.
+braid identity between sigma_{i-1} and sigma_i, on whatever matrices it is
+given.  ``repbuilder`` gives it the two generators on one class of the
+join of their blocks at a time (``repbuilder._braid_test``), since they
+are direct sums over those classes.  ``verify_relations`` runs it as its
+``braid`` check, and ``build_rep`` runs it while building only when no
+verification follows, so each build computes the braid products once.
 """
 
 from __future__ import annotations

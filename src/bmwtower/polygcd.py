@@ -36,10 +36,9 @@ def reduce_fraction(num_terms, den_terms):
     dt, (dq, dn) = _shift_min(den_terms)
     pn = _RING.from_dict(nt)
     pd = _RING.from_dict(dt)
-    g = pn.gcd(pd)
+    # the gcd and both cofactors from one call: no trial division after it
+    g, pn, pd = pn.cofactors(pd)
     if not g.is_ground or g.LC not in (1, -1):
-        pn = pn.exquo(g)
-        pd = pd.exquo(g)
         nt = {m: int(c) for m, c in pn.to_dict().items()}
         dt = {m: int(c) for m, c in pd.to_dict().items()}
     # undo the relative monomial shift so the fraction's value is unchanged

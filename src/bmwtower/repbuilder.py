@@ -17,19 +17,20 @@ Those scales are chosen by a closed formula in the block's own data
 and the off-diagonal pair of each 3b block from its tokens and the
 quantum dimensions of its diagrams.  That choice is consistent across
 positions, so no gauge is solved for.  ``gauge.repair_position`` tests
-the braid identity with the previous position: as the verifier's
-``braid`` check, or while building when no verification follows
-(``build_rep(verify=False)``), so each build computes the braid products
-once.  Only the verifier's ``kappa_y_power`` check reads the central
-scalars (``central.zhat_series``), so it tests the weights against an
+the braid identity between positions i and i+1 on each class of the join
+of their blocks (``_braid_test``): as the verifier's ``braid`` check, or
+while building when no verification follows (``build_rep(verify=False)``),
+so each build computes the braid products once.  Only the verifier's
+``kappa_y_power`` check reads the central scalars
+(``central.zhat_series``), so it tests the weights against an
 independent formula.
 
 The storage follows the basis: sigma_i and kappa_i only mix paths of one
 block at position i, so a ``SeminormalRep`` keeps them as their block
 matrices S and K, in the order of ``blocks[i]``, and every y as its
 diagonal.  ``SeminormalRep.dense`` assembles a whole matrix for the code
-that reads one: the JSON output, the chain Hamiltonian, the intertwiners
-and the verifier's checks that couple positions.
+that reads one: the JSON output, the chain Hamiltonian and the
+intertwiners.
 
 Every built representation is verified against the full defining relation
 list before being returned.  Relations at one position (cubic, kappa
@@ -37,9 +38,12 @@ definition, skein, JM recursion, kappa-moment identities) are proven on
 the blocks, after a ``block_structure`` check that the blocks partition
 the basis and that each stored block matrix has its block's size; on a
 block where kappa has rank one the cubic and the kappa moments reduce to
-scalar identities in its row and column.  Only braid, locality and
-kappa-sigma-kappa multiply whole matrices, and sigma^{-1} comes from the
-skein relation, not from an inversion.
+scalar identities in its row and column.  The relations that couple two
+positions i and j (braid, locality, kappa-sigma-kappa) are proven on the
+classes of the join of the blocks at i and at j (``_Join``), small
+matrices scattered from the stored blocks, so the verifier multiplies no
+whole matrix; sigma^{-1} comes from the skein relation, not from an
+inversion.
 """
 
 from __future__ import annotations
@@ -357,13 +361,10 @@ def build_rep(lam, n, field=SYMBOLIC, flip=False, verify=True):
             raise VerificationFailed(report)
     else:
         # the normalization is braid-consistent by construction; the braid
-        # test of each position against the one before guards it here when
-        # no verification (whose ``braid`` check makes this test) follows
-        dense_sigma = [rep.dense(i, s) for i, s in enumerate(sigma, 1)]
-        for i in range(2, n):
-            gauge.repair_position(
-                dense_sigma[i - 2], dense_sigma[i - 1], rep.dense(i, kappa[i - 1])
-            )
+        # test of each position against the next guards it here when no
+        # verification (whose ``braid`` check makes this test) follows
+        for i in range(1, n - 1):
+            _braid_test(_Join(rep, i, i + 1))
     return rep
 
 
@@ -371,9 +372,8 @@ def verify_relations(rep):
     """Exact checks of every defining relation on the built matrices.
 
     Relations at one position are proven on the blocks of
-    ``rep.blocks[i]``; only braid, locality and the two
-    kappa-sigma-kappa relations, which couple positions, use products of
-    whole matrices (``SeminormalRep.dense``).  This is exact, not a
+    ``rep.blocks[i]``, and the relations that couple two positions on the
+    classes of the join of their blocks.  This is exact, not a
     sampling, because the storage is the block structure: sigma_i and
     kappa_i are the direct sums of their stored blocks S, K, and every y
     is the diagonal of its stored entries (so any two commute, and its
@@ -408,8 +408,24 @@ def verify_relations(rep):
     more, or whose members' prefixes differ, is checked with the dense
     block products.  Kappa is rank one on every Case-4 block by
     construction (``kappa_block``), so a built representation takes the
-    scalar forms throughout.  ``braid`` is ``gauge.repair_position``, the
-    test that ``build_rep`` skips when this verification follows.
+    scalar forms throughout.
+
+    ``braid`` and the two kappa-sigma-kappa relations couple positions i
+    and i+1, and ``locality`` couples i and j >= i+2.  Every block at i and
+    every block at j lies inside one class of the join of the two
+    partitions (``_Join``), so sigma_i, kappa_i and sigma_j, kappa_j, and
+    the sigma_j^{-1} made of the blocks' S - u + u K, are direct sums over
+    a common coarsening: the classes.  Each relation compares two products
+    of such operators, and a product of direct sums over the same classes
+    is the direct sum of the class products, so each relation holds on the
+    whole space exactly when it holds on every class.  The join reads only
+    the member lists, whose being partitions ``block_structure`` has
+    proven.  On each class the operators are small matrices scattered from
+    the stored blocks (``_Join.scatter``); where kappa_i vanishes on a
+    class both sides of kappa-sigma-kappa do.  ``braid`` is
+    ``gauge.repair_position`` once per class of join(i, i+1)
+    (``_braid_test``), the test that ``build_rep`` skips when this
+    verification follows.
 
     Each check carries the perf_counter seconds it took.
     """
@@ -432,33 +448,45 @@ def verify_relations(rep):
     if not report.ok:
         return report
     local = {i: _LocalBlock.at(rep, i) for i in range(1, n)}
-    sig = [rep.dense(i, s) for i, s in enumerate(rep.sigma, 1)]
-    kap = [rep.dense(i, k) for i, k in enumerate(rep.kappa, 1)]
+
+    @lru_cache(maxsize=None)
+    def join(i, j):
+        return _Join(rep, i, j)
 
     def on_blocks(name, test):
         for i in range(1, n):
             timed(name, i, lambda: all(test(lb) for lb in local[i]))
 
-    def sigma_inverse(i):
-        """sigma_i^{-1}, assembled from the blocks' S - u + u K (see skein)."""
-        return rep.dense(i, [lb.skein_inverse(u) for lb in local[i]])
-
     def braid_holds(i):
         try:
-            gauge.repair_position(sig[i], sig[i + 1], kap[i + 1])
+            _braid_test(join(i, i + 1))
         except gauge.GaugeRepairFailed:
             return False
         return True
 
-    for i in range(n - 2):
-        timed("braid", i + 1, lambda: braid_holds(i))
-    for i in range(n - 1):
-        for j in range(i + 2, n - 1):
-            timed(
-                "locality", i + 1,
-                lambda: (sig[i] * sig[j]).equals(sig[j] * sig[i]),
-                detail=f"j={j + 1}",
-            )
+    def commute(i, j):
+        classes = join(i, j)
+        return all(
+            (a * b).equals(b * a)
+            for a, b in zip(classes.scatter(i, rep.sigma[i - 1]),
+                            classes.scatter(j, rep.sigma[j - 1]))
+        )
+
+    def sandwich(i, mats, c):
+        """kappa_i X kappa_i = c kappa_i, X the direct sum of ``mats`` on
+        the blocks of position i+1 (sigma_{i+1} or its skein inverse)."""
+        classes = join(i, i + 1)
+        return all(
+            k.is_zero or (k * x * k).equals(k.scale(c))
+            for k, x in zip(classes.scatter(i, rep.kappa[i - 1]),
+                            classes.scatter(i + 1, mats))
+        )
+
+    for i in range(1, n - 1):
+        timed("braid", i, lambda: braid_holds(i))
+    for i in range(1, n):
+        for j in range(i + 2, n):
+            timed("locality", i, lambda: commute(i, j), detail=f"j={j}")
 
     def cubic_holds(lb):
         """The cubic on a block, given kappa_definition there."""
@@ -470,15 +498,12 @@ def verify_relations(rep):
         return (lb.s.shift(-q) * lb.s.shift(qinv) * lb.s.shift(-nu)).is_zero
 
     on_blocks("cubic", cubic_holds)
-    for i in range(n - 2):
-        timed(
-            "kappa_sigma_kappa_plus", i + 1,
-            lambda: (kap[i] * sig[i + 1] * kap[i]).equals(kap[i].scale(f.one / nu)),
-        )
-        timed(
-            "kappa_sigma_kappa_minus", i + 1,
-            lambda: (kap[i] * sigma_inverse(i + 2) * kap[i]).equals(kap[i].scale(nu)),
-        )
+    for i in range(1, n - 1):
+        timed("kappa_sigma_kappa_plus", i,
+              lambda: sandwich(i, rep.sigma[i], f.one / nu))
+        # sigma_{i+1}^{-1} block by block, from the skein form (see skein)
+        timed("kappa_sigma_kappa_minus", i,
+              lambda: sandwich(i, [lb.skein_inverse(u) for lb in local[i + 1]], nu))
     on_blocks(
         "kappa_definition",
         lambda lb: ((-lb.s).shift(q) * lb.s.shift(qinv)).equals(lb.k.scale(nu * u)),
@@ -588,6 +613,65 @@ class _LocalBlock:
     def skein_inverse(self, u):
         """S - u + u K: the inverse of S exactly when the skein relation holds."""
         return self.s.shift(-u) + self.k.scale(u)
+
+
+class _Join:
+    """The join of the partitions ``rep.blocks[i]`` and ``rep.blocks[j]``.
+
+    Its classes are the finest partition of the basis in which every block
+    at i and every block at j lies inside one class (union-find over the
+    member lists); each class lists its basis indices in increasing order.
+    sigma_i, kappa_i and sigma_j, kappa_j are direct sums over these
+    classes.  Nothing here reads the paths: ``block_structure`` proves that
+    both lists of blocks partition the basis, and that is all it needs.
+    """
+
+    def __init__(self, rep, i, j):
+        self.rep, self.i = rep, i
+        root = list(range(rep.dim))
+
+        def find(r):
+            while root[r] != r:
+                root[r] = root[root[r]]
+                r = root[r]
+            return r
+
+        for block in rep.blocks[i] + rep.blocks[j]:
+            first = find(block.members[0])
+            for r in block.members[1:]:
+                root[find(r)] = first
+        classes = {}
+        for r in range(rep.dim):
+            classes.setdefault(find(r), []).append(r)
+        self.classes = list(classes.values())
+        self._place = [None] * rep.dim  # basis index -> (class, index in it)
+        for c, members in enumerate(self.classes):
+            for k, r in enumerate(members):
+                self._place[r] = (c, k)
+
+    def scatter(self, pos, mats):
+        """One matrix per class: the block matrices ``mats`` of position
+        ``pos`` (i or j) on their blocks, zero elsewhere."""
+        out = [Matrix.zero(len(c), len(c), self.rep.field) for c in self.classes]
+        for block, small in zip(self.rep.blocks[pos], mats):
+            rows = out[self._place[block.members[0]][0]].rows
+            local = [self._place[r][1] for r in block.members]
+            for a, small_row in zip(local, small.rows):
+                row = rows[a]
+                for b, x in zip(local, small_row):
+                    row[b] = x
+        return out
+
+
+def _braid_test(join):
+    """sigma_i sigma_{i+1} sigma_i = sigma_{i+1} sigma_i sigma_{i+1} for the
+    positions i, i+1 of ``join``: one ``gauge.repair_position`` call per
+    class, which raises ``gauge.GaugeRepairFailed`` where it fails."""
+    rep, i = join.rep, join.i
+    for triple in zip(join.scatter(i, rep.sigma[i - 1]),
+                      join.scatter(i + 1, rep.sigma[i]),
+                      join.scatter(i + 1, rep.kappa[i])):
+        gauge.repair_position(*triple)
 
 
 def _respects_blocks(rep, i):

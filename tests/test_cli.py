@@ -6,6 +6,7 @@ import json
 import pytest
 
 from bmwtower import cli, gauge
+from bmwtower import combinatorics as comb
 from bmwtower import repbuilder as rb
 from bmwtower.scalars import SYMBOLIC, parse_scalar
 
@@ -99,11 +100,20 @@ class TestVerify:
         assert_usage_error(argv, "is not generic at level 2", capsys)
 
 
+def _braid_classes(lam, n):
+    """Number of (position, class) pairs of the braid test of (lam, n): at
+    each i <= n-2, the groups of paths that agree outside levels i, i+1."""
+    paths = comb.enumerate_paths(lam, n)
+    return sum(len({(p[:i], p[i + 2:]) for p in paths}) for i in range(1, n - 1))
+
+
 class TestOneVerificationPerIrrep:
     """``verify`` builds each irrep with its verification, which is also its
     only braid test, and reports a failing relation instead of raising."""
 
     def test_build_tests_braid_once(self, monkeypatch):
+        """One ``repair_position`` call per position and class of the join
+        of the blocks at i and i+1, and one braid test per build."""
         calls = []
         real = gauge.repair_position
 
@@ -112,14 +122,16 @@ class TestOneVerificationPerIrrep:
             return real(*args)
 
         monkeypatch.setattr(gauge, "repair_position", counted)
+        per_build = _braid_classes((2, 1), 5)
+        assert per_build > 5 - 2
         rb.build_rep((2, 1), 5, field=RATIONAL, verify=True)
-        assert len(calls) == 5 - 2
+        assert len(calls) == per_build
         rb.build_rep((2, 1), 5, field=RATIONAL, verify=False)
-        assert len(calls) == 2 * (5 - 2)
+        assert len(calls) == 2 * per_build
         calls.clear()
         argv = ["verify", "--n", "4", "--mode", "rational"]
         cli.run(cli._build_parser().parse_args(argv))
-        assert len(calls) == len(level_vertices(4)) * (4 - 2)
+        assert len(calls) == sum(_braid_classes(lam, 4) for lam in level_vertices(4))
 
     def test_braid_failure_is_reported(self, monkeypatch, capsys):
         """A wrong 3b scale is a diagonal gauge on its block: the local

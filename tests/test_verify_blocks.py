@@ -1,11 +1,13 @@
 """Block-local relation verification, checked against the dense oracle."""
 
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from bmwtower import repbuilder as rb
 from bmwtower.linalg import Matrix, SingularMatrix
+from bmwtower.scalars import SYMBOLIC, GenericSpecialization
 
 from conftest import (
     cached_rep,
@@ -219,3 +221,98 @@ def test_checks_carry_their_seconds():
     assert sum(c.seconds for c in report.checks) > 0
     structure = [c.index for c in report.checks if c.name == "block_structure"]
     assert structure == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("field, lam, n", [
+    (SYMBOLIC, (2,), 4),
+    (GenericSpecialization(Fraction(2), Fraction(5)), (4, 1), 7),
+])
+def test_no_whole_matrix_is_assembled(field, lam, n, monkeypatch):
+    """Braid, locality and kappa-sigma-kappa run class by class, and so does
+    the braid guard of a build without verification."""
+    def refuse(self, i, mats):
+        raise AssertionError("a whole matrix was assembled")
+
+    monkeypatch.setattr(rb.SeminormalRep, "dense", refuse)
+    rep = rb.build_rep(lam, n, field=field, verify=False)
+    assert rb.verify_relations(rep).ok
+    rb.build_rep(lam, n, field=field)
+
+
+def _partition(groups):
+    return {frozenset(g) for g in groups}
+
+
+def _agreeing_outside(paths, levels):
+    """Groups of path indices that agree at every level not in ``levels``."""
+    groups = {}
+    for r, p in enumerate(paths):
+        key = tuple(x for level, x in enumerate(p) if level not in levels)
+        groups.setdefault(key, []).append(r)
+    return _partition(groups.values())
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_join_classes_are_the_path_groups(n):
+    """On the built reps the join of the blocks at i and j is the partition
+    into paths that agree outside levels i and j, for j = i+1 and j >= i+2."""
+    for lam in level_vertices(n):
+        rep = cached_rep(lam, n, "rational")
+        for i in range(1, n - 1):
+            for j in range(i + 1, n):
+                got = _partition(rb._Join(rep, i, j).classes)
+                assert got == _agreeing_outside(rep.paths, {i, j}), (lam, i, j)
+
+
+def _merged(rep, i):
+    """rep with its first and last block at position i merged into one block,
+    whose sigma and kappa are the block-diagonal sums of theirs."""
+    f = rep.field
+    first, last = rep.blocks[i][0], rep.blocks[i][-1]
+    merged = rb.Block(i, first.members + last.members, first.case,
+                      first.pairs + last.pairs)
+    blocks = dict(rep.blocks)
+    blocks[i] = [merged] + rep.blocks[i][1:-1]
+
+    def direct_sum(mats):
+        a, b = mats[i - 1][0], mats[i - 1][-1]
+        zero_ab, zero_ba = [f.zero] * b.n, [f.zero] * a.n
+        rows = [r + zero_ab for r in a.rows] + [zero_ba + r for r in b.rows]
+        out = list(mats)
+        out[i - 1] = [Matrix(rows, f)] + mats[i - 1][1:-1]
+        return out
+
+    return replace_parts(rep, blocks=blocks, sigma=direct_sum(rep.sigma),
+                         kappa=direct_sum(rep.kappa))
+
+
+@pytest.mark.parametrize("mode, lam, n", [("rational", (2, 1), 5),
+                                          ("rational", (1,), 5),
+                                          ("symbolic", (1, 1), 4)])
+def test_merged_blocks_verify_like_the_oracle(mode, lam, n):
+    """Two blocks of one position merged into one block that pairs paths
+    the path groups keep apart: the classes follow the blocks, and the
+    verdicts are the oracle's, with the merged sigma block-diagonal (a
+    rep that still holds) and with one entry coupling its two parts."""
+    rep = cached_rep(lam, n, mode)
+    coarsened = 0
+    for i in range(1, n):
+        if len(rep.blocks[i]) < 2:
+            continue
+        merged = _merged(rep, i)
+        for pair in ((i - 1, i), (i, i + 1)):
+            if 1 <= pair[0] and pair[1] < n:
+                classes = rb._Join(merged, *pair).classes
+                members = set(merged.blocks[i][0].members)
+                assert any(members <= set(c) for c in classes), pair
+                coarsened += len(classes) < len(rb._Join(rep, *pair).classes)
+        report = rb.verify_relations(merged)
+        assert report.ok and _oracle_ok(merged), i
+        assert _relations(report) == _relations(dense_verify_relations(merged))
+        size = merged.blocks[i][0].size
+        coupled = replace_parts(merged, sigma=set_entries(
+            merged.sigma, i - 1, 0,
+            {(0, size - 1): merged.sigma[i - 1][0].rows[0][size - 1] + 1}))
+        ok = rb.verify_relations(coupled).ok
+        assert ok == _oracle_ok(coupled) and not ok, i
+    assert coarsened
