@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 
 from .linalg import Matrix
-from .scalars import NonGenericPoint, TruncatedSeries
+from .scalars import NonGenericPoint, TruncatedSeries, format_scalar
 
 
 class CentralityViolated(ArithmeticError):
@@ -107,35 +107,28 @@ def _scalar(entries):
     return c if all(e == c for e in entries) else None
 
 
-def _power_sum_diagonal(diagonals, dim, p, field):
-    nu2p = field.nu_pow(2 * p)
-    total = [field.zero] * dim
-    for d in diagonals:
+def power_sum(rep, p):
+    """The diagonal of the power sum Z^(p) = sum_j (y_j^p - nu^(2p) y_j^(-p)).
+
+    The y are diagonal in the seminormal basis and stored as their
+    diagonals, so Z^(p) is diagonal too, formed entry by entry.
+    """
+    nu2p = rep.field.nu_pow(2 * p)
+    total = [rep.field.zero] * rep.dim
+    for d in rep.y:
         for r, x in enumerate(d):
             xp = x ** p
             total[r] = total[r] + (xp - nu2p / xp)
     return total
 
 
-def power_sum(rep, p):
-    """The power sum Z^(p) = sum_j (y_j^p - nu^(2p) y_j^(-p)) as a matrix.
-
-    The y are diagonal in the seminormal basis, so Z^(p) is the diagonal
-    matrix of the entrywise sums.
-    """
-    f = rep.field
-    return Matrix.diagonal(_power_sum_diagonal(rep.y, rep.dim, p, f), f)
-
-
 def central_scalars(rep, max_power=3):
     """Scalars by which Z = y_1...y_n and Z^(0..max_power) act; raises
     CentralityViolated if any is non-scalar.
 
-    The y are diagonal in the seminormal basis, so Z and every Z^(p) are
-    diagonal, formed entrywise from the y diagonals.
+    Z and every Z^(p) are diagonal, formed entrywise from the y diagonals.
     """
-    f = rep.field
-    z = [f.one] * rep.dim
+    z = [rep.field.one] * rep.dim
     for d in rep.y:
         z = [a * b for a, b in zip(z, d)]
     c = _scalar(z)
@@ -143,7 +136,7 @@ def central_scalars(rep, max_power=3):
         raise CentralityViolated("product of JM elements is not scalar")
     out = {"Z": c, "Zp": {}}
     for p in range(max_power + 1):
-        s = _scalar(_power_sum_diagonal(rep.y, rep.dim, p, f))
+        s = _scalar(power_sum(rep, p))
         if s is None:
             raise CentralityViolated(f"power sum p={p} is not scalar")
         out["Zp"][p] = s
@@ -161,39 +154,56 @@ def _bracket(mat, d):
 
 
 def intertwiner(rep, k):
-    """U_{k+1} = [sigma_k, y_k - nu^2 y_{k+1}^{-1}] inside the rep (1-based k).
+    """U_{k+1} = [sigma_k, y_k - nu^2 y_{k+1}^{-1}] inside the rep (1-based k),
+    as one matrix per block of ``rep.blocks[k]``, the storage of sigma_k.
 
     y_k and y_{k+1} are diagonal in the seminormal basis, so the second
-    argument is the diagonal D = a - nu^2/b of their diagonals a, b and
-    U[r][c] = sigma_k[r][c] (D[c] - D[r]).
+    argument is the diagonal D = a - nu^2/b of their diagonals a, b, and on
+    a block with sigma_k block S, U is S[r][c] (D[c] - D[r]).
     """
+    from .repbuilder import _LocalBlock
+
     nu2 = rep.field.nu_pow(2)
-    d = [x - nu2 / y for x, y in zip(rep.y[k - 1], rep.y[k])]
-    return _bracket(rep.dense(k, rep.sigma[k - 1]), d)
+    return [
+        _bracket(lb.s, [x - nu2 / y for x, y in zip(lb.a, lb.b)])
+        for lb in _LocalBlock.at(rep, k)
+    ]
 
 
 def intertwiner_checks(rep, k):
     """All exchange, product, braid and kappa identities for U_{k+1}.
 
-    Every y is diagonal in the seminormal basis, so U diag(x) = diag(y) U
-    says x[c] = y[r] at each nonzero entry U[r][c]: the swap and commute
-    checks read the diagonals there.
-    The product identity's right side is the diagonal
-    (q a - b/q)(q b - a/q)(1 - nu^2/(a b)) with a, b the diagonals of y_k,
-    y_{k+1}, and its left side multiplies U by the commutator [sigma_k, y_k].
+    U_{k+1}, like sigma_k and kappa_k, is the direct sum of its blocks at
+    position k, and y_k, y_{k+1} restrict to each block as the diagonals
+    a, b of their entries there.  Every y is diagonal, so U diag(x) =
+    diag(y) U says x[c] = y[r] at each nonzero entry U[r][c]: the swap and
+    commute checks read the diagonals on U's support.  The product identity
+    U [sigma_k, y_k] = (q a - b/q)(q b - a/q)(1 - nu^2/(a b)) and
+    kappa_k U = U kappa_k = 0 compare direct sums over the blocks, so each
+    holds exactly when it holds on every block.  U_k and U_{k+1} are direct
+    sums over the classes of the join of the blocks at k-1 and k, so the
+    braid identity holds exactly when it holds on every class (the argument
+    of ``repbuilder.verify_relations``).
     """
+    from .repbuilder import _Join, _LocalBlock
+
     f = rep.field
     q = f.q
     qinv = f.q_pow(-1)
     nu2 = f.nu_pow(2)
-    a = rep.y[k - 1]
-    b = rep.y[k]
-    u = intertwiner(rep, k)
-    support = [(r, c) for r, row in enumerate(u.rows) for c, x in enumerate(row) if x]
+    local = _LocalBlock.at(rep, k)
+    blocks = intertwiner(rep, k)
+    support = [
+        (lb.block.members[r], lb.block.members[c])
+        for lb, ub in zip(local, blocks)
+        for r, row in enumerate(ub.rows) for c, x in enumerate(row) if x
+    ]
 
     def exchanges(x, y):
         return all(x[c] == y[r] for r, c in support)
 
+    a = rep.y[k - 1]
+    b = rep.y[k]
     checks = []
     checks.append(("U_swaps_y_k", k, exchanges(a, b)))
     checks.append(("U_swaps_y_k1", k, exchanges(b, a)))
@@ -202,22 +212,27 @@ def intertwiner_checks(rep, k):
             continue
         d = rep.y[i - 1]
         checks.append((f"U_commutes_y_{i}", k, exchanges(d, d)))
-    rhs = Matrix.diagonal(
-        [
+
+    def product_identity(lb, ub):
+        rhs = [
             (q * x - qinv * y) * (q * y - qinv * x) * (f.one - nu2 / (x * y))
-            for x, y in zip(a, b)
-        ],
-        f,
-    )
-    lhs = u * _bracket(rep.dense(k, rep.sigma[k - 1]), a)
-    checks.append(("U_product_identity", k, lhs.equals(rhs)))
+            for x, y in zip(lb.a, lb.b)
+        ]
+        return (ub * _bracket(lb.s, lb.a)).equals(Matrix.diagonal(rhs, f))
+
+    checks.append(("U_product_identity", k,
+                   all(product_identity(lb, ub) for lb, ub in zip(local, blocks))))
     if k >= 2:
-        uprev = intertwiner(rep, k - 1)
-        checks.append(
-            ("U_braid", k, (u * uprev * u).equals(uprev * u * uprev))
-        )
-    kap = rep.dense(k, rep.kappa[k - 1])
-    checks.append(("kappa_U_zero", k, (kap * u).is_zero and (u * kap).is_zero))
+        join = _Join(rep, k - 1, k)
+        checks.append(("U_braid", k, all(
+            (u * up * u).equals(up * u * up)
+            for u, up in zip(join.scatter(k, blocks),
+                             join.scatter(k - 1, intertwiner(rep, k - 1)))
+        )))
+    checks.append(("kappa_U_zero", k, all(
+        (lb.k * ub).is_zero and (ub * lb.k).is_zero
+        for lb, ub in zip(local, blocks)
+    )))
     return checks
 
 
@@ -231,13 +246,13 @@ def central_report(rep, max_power=3):
     }
 
 
-def central_json(reports, formatter):
+def central_json(reports):
     data = [
         {
             "lambda": r["lambda"],
             "n": r["n"],
-            "Z": formatter(r["Z"]),
-            "Zp": {str(p): formatter(v) for p, v in r["Zp"].items()},
+            "Z": format_scalar(r["Z"]),
+            "Zp": {str(p): format_scalar(v) for p, v in r["Zp"].items()},
         }
         for r in reports
     ]

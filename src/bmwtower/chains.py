@@ -89,10 +89,8 @@ def hamiltonian(rep, params):
     if f.name == "rational" and not params.waive_xi:
         params.check_xi(f.q_value, f.nu_value)
     u = f.q - f.q_pow(-1)
-    denom = f.nu + params.a_value(f)
-    if not denom:
-        raise SingularParameter("nu + a vanishes at the working point")
-    coeff = u * f.nu / denom
+    # nu + a != 0: nu = -a would make nu^2 q^(-+2) = 1, never generic
+    coeff = u * f.nu / (f.nu + params.a_value(f))
     bulk = Matrix.zero(rep.dim, rep.dim, f)
     for m, (sig, kap) in enumerate(zip(rep.sigma, rep.kappa), 1):
         bulk = bulk + rep.dense(m, [s + k.scale(coeff) for s, k in zip(sig, kap)])

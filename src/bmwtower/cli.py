@@ -23,7 +23,6 @@ from .scalars import (
     SYMBOLIC,
     GenericSpecialization,
     NonGenericPoint,
-    format_scalar,
     require_generic,
 )
 
@@ -66,12 +65,6 @@ def _point(args):
 
 def _field(args):
     return _point(args) if args.mode == "rational" else SYMBOLIC
-
-
-def _formatter(field):
-    if field.name == "rational":
-        return str
-    return format_scalar
 
 
 def _parse_lam(args):
@@ -162,7 +155,7 @@ def run(args):
         for lam in rb.level_vertices(args.n):
             rep = rb.build_rep(lam, args.n, field=field, flip=flip)
             reports.append(cen.central_report(rep))
-        return 0, cen.central_json(reports, _formatter(field))
+        return 0, cen.central_json(reports)
 
     if args.command == "hamiltonian":
         lam = _parse_lam(args)

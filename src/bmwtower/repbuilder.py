@@ -28,9 +28,9 @@ independent formula.
 The storage follows the basis: sigma_i and kappa_i only mix paths of one
 block at position i, so a ``SeminormalRep`` keeps them as their block
 matrices S and K, in the order of ``blocks[i]``, and every y as its
-diagonal.  ``SeminormalRep.dense`` assembles a whole matrix for the code
-that reads one: the JSON output, the chain Hamiltonian and the
-intertwiners.
+diagonal.  ``SeminormalRep.dense`` assembles a whole matrix only for the
+output that reads one: the JSON output and the chain Hamiltonian.  The
+intertwiners (``central``) are stored and checked block by block too.
 
 Every built representation is verified against the full defining relation
 list before being returned.  Relations at one position (cubic, kappa
@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dfield
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from time import perf_counter
 
@@ -341,15 +340,9 @@ def build_rep(lam, n, field=SYMBOLIC, flip=False, verify=True):
                 sb = sigma_block(b, kb, w, field)
             else:
                 sb = sigma_block(b, None, w, field)
-                # kappa must vanish on 3a/3b blocks by the quadratic factor
-                ident = Matrix.identity(b.size, field)
-                kb = (ident.scale(field.q) - sb) * (
-                    sb + ident.scale(field.q_pow(-1))
-                )
-                if not kb.is_zero:
-                    raise NonGenericBlock(
-                        f"nonzero kappa on a {b.case.tag} block at i={i}"
-                    )
+                # (q - S)(S + q^-1) = 0 by Cayley-Hamilton: S is q or -q^-1
+                # on 3a, and has trace u, determinant -1 on 3b
+                kb = Matrix.zero(b.size, b.size, field)
             sig.append(sb)
             kap.append(kb)
         sigma.append(sig)
@@ -691,17 +684,11 @@ def level_vertices(n):
     return comb.build_graph(n).levels[n]
 
 
-def _format_entry(x, field):
-    if isinstance(x, Fraction):
-        return str(x)
-    return format_scalar(x)
-
-
 def rep_to_json(rep):
     f = rep.field
 
     def mat(m):
-        return [[_format_entry(x, f) for x in row] for row in m.rows]
+        return [[format_scalar(x) for x in row] for row in m.rows]
 
     def dense(mats):
         return [mat(rep.dense(i, m)) for i, m in enumerate(mats, 1)]

@@ -567,7 +567,10 @@ def _is_atom(p):
 
 
 def format_scalar(x):
-    """Canonical text form, e.g. "(q^2 - 1)/(q*nu)"."""
+    """Canonical text form, e.g. "(q^2 - 1)/(q*nu)"; a ``Fraction``, the
+    entry type of a rational point, prints with ``str``."""
+    if isinstance(x, Fraction):
+        return str(x)
     num = format_poly(x.num)
     if x.den == _ONE_POLY:
         return num

@@ -1,7 +1,6 @@
 """Spin-chain Hamiltonians: closed forms, spectra, gauge invariance."""
 
 import cmath
-import dataclasses
 import io
 from fractions import Fraction
 
@@ -9,7 +8,12 @@ import pytest
 
 from bmwtower import chains
 from bmwtower import repbuilder as rb
-from bmwtower.scalars import SYMBOLIC, GenericSpecialization, NonGenericPoint
+from bmwtower.scalars import (
+    SYMBOLIC,
+    GenericSpecialization,
+    NonGenericPoint,
+    check_generic,
+)
 
 from conftest import RATIONAL, cached_rep, conjugate_diagonal
 from dense_oracle import dense_parts
@@ -68,16 +72,17 @@ class TestClosedForms:
         expected = NUV + U * NUV * MU / (NUV + QV) + U * p.xi / (1 - p.xi)
         assert abs(got - expected) < 1e-12
 
-    def test_nu_plus_a_singular(self):
-        # nu = 1/q makes the kappa coefficient denominator vanish for a = -1/q;
-        # build_rep refuses that point (nu^2 q^2 = 1 is not generic), so the
-        # rep built at a generic point is given its field
-        s = GenericSpecialization(Fraction(2), Fraction(1, 2))
-        with pytest.raises(NonGenericPoint):
-            rb.build_rep((2,), 2, field=s)
-        rep = dataclasses.replace(cached_rep((2,), 2, "rational"), field=s)
-        with pytest.raises(chains.SingularParameter):
-            chains.hamiltonian(rep, chains.ChainParams("-1/q", 5j, waive_xi=True))
+    def test_nu_plus_a_never_generic(self):
+        """The kappa coefficient's denominator nu + a vanishes only at
+        nu = -a, where nu^2 q^(-+2) = 1: for every choice of a that point
+        is refused at level 1, so no built rep reaches it."""
+        q = Fraction(2)
+        for a in chains.A_CHOICES:
+            nu = -chains.ChainParams(a, 5j).a_value(GenericSpecialization(q, q))
+            s = GenericSpecialization(q, nu)
+            assert not check_generic(s, 1), a
+            with pytest.raises(NonGenericPoint):
+                rb.build_rep((1,), 1, field=s)
 
 
 class TestSpectra:

@@ -155,7 +155,10 @@ class TestStdoutDigests:
     changes no output byte.  The symbolic benchmark jobs (the last three)
     were recorded while every sum and product in Q(q, nu) still reduced its
     whole cross product by one gcd: skipping or shrinking that gcd where
-    the result is provably reduced changes no output byte either."""
+    the result is provably reduced changes no output byte either.  The
+    rational ``central`` digest was recorded while the CLI still chose its
+    own formatter for rational entries: printing every entry through
+    ``format_scalar`` changes no output byte."""
 
     @pytest.mark.parametrize("argv, digest", [
         ("rep --lambda 1,1 --n 4",
@@ -174,6 +177,8 @@ class TestStdoutDigests:
          "8392945c8b0dbd1c45666ee12fa01a45385d2a543cabbb3dbf374269e21c9d58"),
         ("central --n 4",
          "9bf3e3cf95bd557fba1c7931f412ec67afd61e1df40ac10e667d9a6648afa97c"),
+        ("central --n 4 --mode rational",
+         "1e7b9c9d635b4049f49d795e1d7614d40cb75d2a10abdff587e7b6c240d2daee"),
     ])
     def test_stdout_sha256(self, argv, digest, capsys):
         status, out = run_cli(argv.split(), capsys)

@@ -20,12 +20,14 @@ MAX_POWER = 5
 
 
 def _reps():
-    """(id, rep): every symbolic irrep with n <= 4, every rational one at 5."""
+    """(id, rep): every symbolic irrep with n <= 4, every rational one with
+    n <= 6."""
     for n in range(1, 5):
         for lam in level_vertices(n):
             yield f"symbolic {lam}@{n}", cached_rep(lam, n, "symbolic")
-    for lam in level_vertices(5):
-        yield f"rational {lam}@5", cached_rep(lam, 5, "rational")
+    for n in range(1, 7):
+        for lam in level_vertices(n):
+            yield f"rational {lam}@{n}", cached_rep(lam, n, "rational")
 
 
 def _params(a):
@@ -49,9 +51,11 @@ def test_agrees_with_dense_oracle():
         assert sorted(fast["Zp"]) == sorted(dense["Zp"]) == list(range(MAX_POWER + 1))
         for p in range(MAX_POWER + 1):
             assert fast["Zp"][p] == dense["Zp"][p], (label, p)
-        assert cen.power_sum(rep, 2).equals(dense_power_sum(rep, 2)), label
+        power_sum = Matrix.diagonal(cen.power_sum(rep, 2), rep.field)
+        assert power_sum.equals(dense_power_sum(rep, 2)), label
         for k in range(1, rep.n):
-            assert cen.intertwiner(rep, k).equals(dense_intertwiner(rep, k)), (label, k)
+            got = rep.dense(k, cen.intertwiner(rep, k))
+            assert got.equals(dense_intertwiner(rep, k)), (label, k)
             assert _verdicts(cen.intertwiner_checks(rep, k)) == _verdicts(
                 dense_intertwiner_checks(rep, k)
             ), (label, k)
@@ -75,7 +79,9 @@ def _perturbed_sigmas(rep):
 
 def _perturbed_kappas_and_ys(rep):
     """(label, rep) pairs with kappa_i made nonzero on its first two-member
-    block, where U_{i+1} is nonzero, or with one y entry changed."""
+    block, where U_{i+1} is nonzero, or with the first or the last entry
+    of one y changed (so that U_braid fails in the first or the last class
+    of a join)."""
     f = rep.field
     for i in range(1, rep.n):
         bi = next((bi for bi, b in enumerate(rep.blocks[i]) if b.size == 2), None)
@@ -83,9 +89,11 @@ def _perturbed_kappas_and_ys(rep):
             yield f"kappa_{i} block {bi}[0][1]", replace_parts(
                 rep, kappa=set_entries(rep.kappa, i - 1, bi, {(0, 1): f.one}))
     for j in range(rep.n):
-        y = list(rep.y)
-        y[j] = [y[j][0] + f.one] + y[j][1:]
-        yield f"y_{j + 1}[0]", replace_parts(rep, y=y)
+        for r in sorted({0, rep.dim - 1}):
+            y = list(rep.y)
+            y[j] = list(y[j])
+            y[j][r] = y[j][r] + f.one
+            yield f"y_{j + 1}[{r}]", replace_parts(rep, y=y)
 
 
 def _failing_verdicts(mode, n, perturbations):
@@ -110,6 +118,7 @@ def test_perturbed_sigma_verdicts_match_the_oracle(mode, n):
 def test_perturbed_kappa_and_y_verdicts_match_the_oracle(mode, n):
     failing = _failing_verdicts(mode, n, _perturbed_kappas_and_ys)
     assert {"U_swaps_y_k", "U_commutes_y_1", "kappa_U_zero"} <= failing
+    assert ("U_braid" in failing) == (mode == "rational")
 
 
 @pytest.mark.parametrize("mode, n", [("symbolic", 3), ("rational", 4)])

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from bmwtower import central as cen
 from bmwtower import repbuilder as rb
 from bmwtower.linalg import Matrix, SingularMatrix
 from bmwtower.scalars import SYMBOLIC, GenericSpecialization
@@ -16,7 +17,7 @@ from conftest import (
     replace_parts,
     set_entries,
 )
-from dense_oracle import dense_verify_relations
+from dense_oracle import dense_intertwiner_checks, dense_verify_relations
 
 
 def _oracle_ok(rep):
@@ -228,8 +229,9 @@ def test_checks_carry_their_seconds():
     (GenericSpecialization(Fraction(2), Fraction(5)), (4, 1), 7),
 ])
 def test_no_whole_matrix_is_assembled(field, lam, n, monkeypatch):
-    """Braid, locality and kappa-sigma-kappa run class by class, and so does
-    the braid guard of a build without verification."""
+    """Braid, locality and kappa-sigma-kappa run class by class, and so do
+    the braid guard of a build without verification and the intertwiner
+    checks at every position."""
     def refuse(self, i, mats):
         raise AssertionError("a whole matrix was assembled")
 
@@ -237,6 +239,8 @@ def test_no_whole_matrix_is_assembled(field, lam, n, monkeypatch):
     rep = rb.build_rep(lam, n, field=field, verify=False)
     assert rb.verify_relations(rep).ok
     rb.build_rep(lam, n, field=field)
+    for k in range(1, n):
+        assert all(ok for _, _, ok in cen.intertwiner_checks(rep, k)), k
 
 
 def _partition(groups):
@@ -293,7 +297,9 @@ def test_merged_blocks_verify_like_the_oracle(mode, lam, n):
     """Two blocks of one position merged into one block that pairs paths
     the path groups keep apart: the classes follow the blocks, and the
     verdicts are the oracle's, with the merged sigma block-diagonal (a
-    rep that still holds) and with one entry coupling its two parts."""
+    rep that still holds) and with one entry coupling its two parts.  The
+    intertwiner checks, whose ``U_braid`` runs on the same join classes,
+    give the dense oracle's verdicts on both."""
     rep = cached_rep(lam, n, mode)
     coarsened = 0
     for i in range(1, n):
@@ -315,4 +321,10 @@ def test_merged_blocks_verify_like_the_oracle(mode, lam, n):
             {(0, size - 1): merged.sigma[i - 1][0].rows[0][size - 1] + 1}))
         ok = rb.verify_relations(coupled).ok
         assert ok == _oracle_ok(coupled) and not ok, i
+        for bad in (merged, coupled):
+            for k in range(1, n):
+                got, want = (
+                    [(name, index, bool(ok)) for name, index, ok in checks(bad, k)]
+                    for checks in (cen.intertwiner_checks, dense_intertwiner_checks))
+                assert got == want, (i, k)
     assert coarsened
