@@ -2,23 +2,36 @@
 
 Elements are fractions of integer-coefficient Laurent polynomials in the
 two variables q and nu, always in lowest terms and normalized (see
-``ScalarFraction``).  Because every operand is already reduced, the field
-operations divide out a bivariate polynomial gcd (``polygcd.reduce_fraction``)
-only where a common factor can arise (Henrici's method for reduced
-fractions, Knuth, TAOCP vol. 2, 4.5.1):
+``ScalarFraction``).  The numerator is a ``LaurentPoly``; the denominator
+is kept factored, as a positive integer times an exponent vector over the
+genericity base B of ``polygcd`` (the cyclotomic Phi_m(q) and the binomials
+nu q^k - s, s = +-1) times a residual polynomial that no member of B
+divides.  The residual is 1 on every value the package builds: each of its
+denominators divides a product of q^(2z) - 1 and nu^2 q^(2z) - 1, which
+``check_generic`` requires to be nonzero.
 
-- ``-x`` and ``1/x`` never reduce, nor does ``x + y`` with a zero operand;
-- ``x + y`` over equal denominators reduces the sum once;
-- otherwise ``x + y`` reduces nothing when the denominators' exponents
-  prove them coprime (``_coprime``; a single-term denominator always
-  does), and else reduces the two denominators against each other, then
-  the sum over their lcm only when they share a polynomial factor;
-- ``x * y`` reduces each numerator against the other denominator unless
-  their exponents prove them coprime, and never the product.
+Because every operand is reduced and its denominator's prime factors in B
+are known, each cancellation is a trial division (``reduce_fraction`` with
+one base factor as the denominator), and only by the factors that can be
+shared:
 
-Monomial content and integer content are normalized away without a gcd.
-Equality is decided by cross-multiplication, which is exact whether or not
-a pair was reduced.
+- ``x * y`` divides each numerator by the other operand's factors, and adds
+  the exponent vectors;
+- ``a/b + c/d`` takes the lcm L by the elementwise maximum and divides the
+  numerator a (L/b) + c (L/d) only by the factors with equal exponents in b
+  and d.  A factor f with unequal exponents divides exactly one of the two
+  terms: say f's power in b is the smaller; then f divides L/b, but not c
+  (gcd(c, d) = 1) nor L/d, so f does not divide the sum;
+- ``1/x`` and the constructor ``ScalarFraction(num, den)`` split a
+  polynomial over B (``polygcd.split``); ``-x`` never reduces.
+
+A residual ≠ 1, made only by input from outside the package, is the one
+place a polynomial gcd runs (sympy's, inside ``reduce_fraction``): against
+the other numerator in a product, against the numerator of a sum whose
+operands' residuals share a factor, and between two residuals for their
+lcm.  Integer content is cancelled by integer gcds.  Equality compares the
+canonical forms, which are unique.  The expanded denominator ``den``, read
+by the printer and ``evaluate``, is built on demand and kept per instance.
 
 A ``GenericSpecialization`` maps everything to ``fractions.Fraction`` for
 fast numeric runs; ``check_generic`` guards the eigenvalue-separation
@@ -27,12 +40,11 @@ assumptions that the seminormal construction relies on.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from math import gcd
 
-from .polygcd import reduce_fraction
+from .polygcd import base_terms, reduce_fraction, split
 
 
 class LaurentPoly:
@@ -113,13 +125,13 @@ class LaurentPoly:
         """Positive gcd of all integer coefficients (0 for the zero poly)."""
         return reduce(gcd, (abs(c) for c in self.terms.values()), 0)
 
+    def times_int(self, k):
+        return _poly({e: c * k for e, c in self.terms.items()})
+
     def divide_int(self, g):
         r = LaurentPoly()
         r.terms = {e: c // g for e, c in self.terms.items()}
         return r
-
-    def min_exponent(self):
-        return min(self.terms)
 
     def evaluate(self, q_value, nu_value):
         total = Fraction(0)
@@ -142,27 +154,47 @@ class NonGenericPoint(ArithmeticError):
     pass
 
 
+def _poly(terms):
+    """A LaurentPoly on a term dict that has no zero coefficient."""
+    p = LaurentPoly()
+    p.terms = terms
+    return p
+
+
 class ScalarFraction:
-    """Element of Q(q, nu) as a canonical pair of Laurent polynomials.
+    """Element of Q(q, nu) as a canonical numerator and factored denominator.
 
     Canonical: numerator and denominator have no common factor but a unit,
     the denominator's lexicographically least exponent is (0, 0) with a
     positive coefficient, and the common integer content of numerator and
-    denominator is divided out.  The constructor reduces any pair whose
-    sides both have more than one term; the operators build their results
-    in this form directly, with a gcd only where one can be nontrivial.
+    denominator is divided out.  The denominator is ``scale`` (a positive
+    integer) times the product of ``base_terms(key) ** e`` over ``exps``
+    times ``residual`` (None for 1; else normalized and primitive).  Each
+    base term and the residual have least exponent (0, 0) with a positive
+    coefficient, so their product does too.  ``exps`` dicts are shared
+    between values and never changed in place.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "scale", "exps", "residual", "_den")
 
     def __init__(self, num, den=None):
-        if den is None:
-            den = _ONE_POLY
-        if den.is_zero:
+        if den is not None and den.is_zero:
             raise ZeroDivision("division by zero in Q(q, nu)")
-        if len(num.terms) > 1 and len(den.terms) > 1:
-            num, den = _reduced(num, den)
-        self.num, self.den = _normalized(num, den)
+        if den is None or num.is_zero:
+            self.num, self.scale, self.exps, self.residual = num, 1, {}, None
+            self._den = _ONE_POLY
+            return
+        self._den = None
+        c, (zq, zn), exps, residual = split(den.terms)
+        if (zq, zn) != (0, 0):
+            num = num.shift(-zq, -zn)
+        if c < 0:
+            num = -num
+        num, exps = _cancel(num, exps, exps)
+        if residual is not None:
+            num, residual = _cancel_residual(num, _poly(residual))
+        num, scale = _cancel_content(num, abs(c))
+        self.num, self.scale, self.exps, self.residual = num, scale, exps, residual
 
     @staticmethod
     def from_int(c):
@@ -171,6 +203,19 @@ class ScalarFraction:
     @staticmethod
     def monomial(zq, znu, coeff=1):
         return ScalarFraction(LaurentPoly.monomial(zq, znu, coeff))
+
+    @property
+    def den(self):
+        """The denominator, expanded."""
+        d = self._den
+        if d is None:
+            d = LaurentPoly.from_int(self.scale)
+            for key, e in self.exps.items():
+                d = _times_base(d, key, e)
+            if self.residual is not None:
+                d = d * self.residual
+            self._den = d
+        return d
 
     @property
     def is_zero(self):
@@ -186,6 +231,10 @@ class ScalarFraction:
             return ScalarFraction.from_int(other)
         return NotImplemented
 
+    def _same_den(self, other):
+        return (self.scale == other.scale and self.exps == other.exps
+                and self.residual == other.residual)
+
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
@@ -194,24 +243,62 @@ class ScalarFraction:
             return self
         if not self.num.terms:
             return other
-        a, b, c, d = self.num, self.den, other.num, other.den
-        if b.terms == d.terms:
-            return ScalarFraction(a + c, b)
-        if _coprime(b, d):
-            # a/b and c/d are reduced and gcd(b, d) is an integer times a
-            # monomial, so any common factor of the sum is such a constant
-            return _canonical(a * d + c * b, b * d)
-        # b/d = b1/d1 in lowest terms, so b * d1 is the lcm of b and d
-        b1, d1 = _reduced(b, d)
-        if _same_shape(d1, d):
-            return _canonical(a * d1 + c * b1, b * d1)
-        # gcd(b, d) is a polynomial: the sum may keep a factor of it
-        return ScalarFraction(a * d1 + c * b1, b * d1)
+        a, c = self.num, other.num
+        if self._same_den(other):
+            num = a + c
+            if not num.terms:
+                return _ZERO
+            num, exps = _cancel(num, self.exps, self.exps)
+            residual = self.residual
+            if residual is not None:
+                num, residual = _cancel_residual(num, residual)
+            num, scale = _cancel_content(num, self.scale)
+            return _fraction(num, scale, exps, residual)
+        eb, ed = self.exps, other.exps
+        # the lcm of the denominators, and the factors with equal exponents
+        # in both: no other factor can divide the numerator of the sum
+        exps, shared = dict(eb), {}
+        for key, e in ed.items():
+            e0 = eb.get(key, 0)
+            if e > e0:
+                exps[key] = e
+            elif e == e0:
+                shared[key] = e
+        for key, e in exps.items():
+            a = _times_base(a, key, e - eb.get(key, 0))
+            c = _times_base(c, key, e - ed.get(key, 0))
+        sb, sd = self.scale, other.scale
+        scale = sb * sd // gcd(sb, sd)
+        if scale != sb:
+            a = a.times_int(scale // sb)
+        if scale != sd:
+            c = c.times_int(scale // sd)
+        rb, rd = self.residual, other.residual
+        if rb == rd:
+            residual, common = rb, rb is not None
+        elif rb is None:
+            residual, common, a = rd, False, a * rd
+        elif rd is None:
+            residual, common, c = rb, False, c * rb
+        else:
+            # rb = h rb1 and rd = h rd1; their lcm is rb rd1
+            t1, t2 = reduce_fraction(rb.terms, rd.terms)
+            common = t2 != rd.terms
+            a, c = a * _poly(t2), c * _poly(t1)
+            residual = rb * _poly(t2)
+        num = a + c
+        if not num.terms:
+            return _ZERO
+        num, exps = _cancel(num, shared, exps)
+        if common:
+            num, residual = _cancel_residual(num, residual)
+        num, scale = _cancel_content(num, scale)
+        return _fraction(num, scale, exps, residual)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _canonical(-self.num, self.den)
+        return _fraction(-self.num, self.scale, self.exps, self.residual, self._den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -231,17 +318,39 @@ class ScalarFraction:
         if not other.num.terms:
             return other
         # cancel each numerator against the other denominator; each pair
-        # is then coprime up to a constant, and so is the product
-        a, d = _cross_cancel(self.num, other.den)
-        c, b = _cross_cancel(other.num, self.den)
-        return _canonical(a * c, b * d)
+        # is then coprime up to a unit, and so is the product
+        a, ed = _cancel(self.num, other.exps, other.exps)
+        c, eb = _cancel(other.num, self.exps, self.exps)
+        rb, rd = self.residual, other.residual
+        if rd is not None:
+            a, rd = _cancel_residual(a, rd)
+        if rb is not None:
+            c, rb = _cancel_residual(c, rb)
+        a, sd = _cancel_content(a, other.scale)
+        c, sb = _cancel_content(c, self.scale)
+        if not eb:
+            exps = ed
+        elif not ed:
+            exps = eb
+        else:
+            exps = dict(eb)
+            for key, e in ed.items():
+                exps[key] = exps.get(key, 0) + e
+        residual = rd if rb is None else rb if rd is None else rb * rd
+        return _fraction(a * c, sb * sd, exps, residual)
 
     __rmul__ = __mul__
 
     def invert(self):
         if self.num.is_zero:
             raise ZeroDivision("division by zero in Q(q, nu)")
-        return _canonical(self.den, self.num)
+        c, (zq, zn), exps, residual = split(self.num.terms)
+        num = self.den
+        if (zq, zn) != (0, 0):
+            num = num.shift(-zq, -zn)
+        if c < 0:
+            num = -num
+        return _fraction(num, abs(c), exps, None if residual is None else _poly(residual))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -268,9 +377,7 @@ class ScalarFraction:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.num.terms == other.num.terms and self.den.terms == other.den.terms:
-            return True
-        return (self.num * other.den - other.num * self.den).is_zero
+        return self.num.terms == other.num.terms and self._same_den(other)
 
     def __hash__(self):
         raise TypeError("ScalarFraction is not hashable (equality is semantic)")
@@ -285,83 +392,68 @@ class ScalarFraction:
         return f"<{format_scalar(self)}>"
 
 
-def _reduced(num, den):
-    """num/den with their polynomial gcd divided out (``reduce_fraction``)."""
-    nt, dt = reduce_fraction(num.terms, den.terms)
-    out_num, out_den = LaurentPoly(), LaurentPoly()
-    out_num.terms, out_den.terms = nt, dt
-    return out_num, out_den
-
-
-def _same_shape(p, r):
-    """True when p and r have the same exponents up to one shift.  For
-    p = r / h that holds exactly when h is an integer times a monomial: an h
-    with two or more terms makes r's Newton polygon wider than p's."""
-    if len(p.terms) != len(r.terms):
-        return False
-    (pq, pn), (rq, rn) = p.min_exponent(), r.min_exponent()
-    return all((zq - pq + rq, zn - pn + rn) in r.terms for zq, zn in p.terms)
-
-
-def _coprime(p, r):
-    """True when gcd(p, r) is an integer times a monomial by their exponents
-    alone: one side is a single term, or one side's terms lie on one line
-    and the other side has a lone term on some line parallel to it.
-
-    Terms on one line make a monomial times a polynomial f(t), where
-    t = q^a nu^b for the line's primitive direction (a, b), and every
-    factor of f(t) is a polynomial in t.  The parallel lines, told apart by
-    b zq - a znu (or any multiple of it), split the other side into
-    polynomials in t times monomials off the line, so a factor in t divides
-    it only by dividing each part; a lone term is a monomial, which no
-    polynomial in t with two or more terms divides.
-    """
-    if len(p.terms) == 1 or len(r.terms) == 1:
-        return True
-    for line, other in ((p, r), (r, p)):
-        (zq0, zn0), *rest = line.terms
-        a, b = rest[0][0] - zq0, rest[0][1] - zn0
-        if all((zq - zq0) * b == (zn - zn0) * a for zq, zn in rest):
-            lines = Counter(b * zq - a * zn for zq, zn in other.terms)
-            if 1 in lines.values():
-                return True
-    return False
-
-
-def _cross_cancel(num, den):
-    """num, den without their common factor, for a numerator of one operand
-    of a product and the denominator of the other."""
-    if _coprime(num, den):
-        return num, den
-    return _reduced(num, den)
-
-
-def _normalized(num, den):
-    """The normalized pair for num/den, given that gcd(num, den) is an
-    integer times a monomial: the denominator's lexicographically least
-    exponent becomes (0, 0) with a positive coefficient, and the common
-    integer content is divided out."""
-    if num.is_zero:
-        return num, _ONE_POLY
-    e = den.min_exponent()
-    if e != (0, 0):
-        num = num.shift(-e[0], -e[1])
-        den = den.shift(-e[0], -e[1])
-    if den.terms[(0, 0)] < 0:
-        num, den = -num, -den
-    g = gcd(num.content(), den.content())
-    if g > 1:
-        num = num.divide_int(g)
-        den = den.divide_int(g)
-    return num, den
-
-
-def _canonical(num, den):
-    """num/den as a ScalarFraction without a gcd, for a pair whose gcd is
-    known to be an integer times a monomial."""
+def _fraction(num, scale, exps, residual, den=None):
+    """A ScalarFraction from canonical parts, with no reduction."""
     out = ScalarFraction.__new__(ScalarFraction)
-    out.num, out.den = _normalized(num, den)
+    out.num, out.scale, out.exps, out.residual = num, scale, exps, residual
+    if den is None and scale == 1 and not exps and residual is None:
+        den = _ONE_POLY
+    out._den = den
     return out
+
+
+_ZERO = _fraction(LaurentPoly(), 1, {}, None)
+
+
+def _times_base(p, key, e):
+    """p times base_terms(key) ** e."""
+    if e:
+        f = _poly(base_terms(key))
+        for _ in range(e):
+            p = p * f
+    return p
+
+
+def _cancel(num, candidates, exps):
+    """num with each base factor of ``candidates`` divided out as often as
+    it divides, at most its exponent there; and ``exps`` less the factors
+    divided out.  One ``reduce_fraction`` call per trial division."""
+    out = exps
+    for key, e in candidates.items():
+        f = base_terms(key)
+        j = 0
+        while j < e:
+            nt, dt = reduce_fraction(num.terms, f)
+            if len(dt) > 1:
+                break
+            num = _poly(nt)
+            j += 1
+        if j:
+            if out is exps:
+                out = dict(exps)
+            if out[key] == j:
+                del out[key]
+            else:
+                out[key] -= j
+    return num, out
+
+
+def _cancel_residual(num, residual):
+    """num and residual without their common factor; None for a residual of 1."""
+    nt, rt = reduce_fraction(num.terms, residual.terms)
+    if rt == residual.terms:
+        return num, residual
+    return _poly(nt), (None if len(rt) == 1 else _poly(rt))
+
+
+def _cancel_content(num, scale):
+    """num and the positive integer scale without their common content."""
+    if scale == 1:
+        return num, 1
+    g = gcd(num.content(), scale)
+    if g > 1:
+        return num.divide_int(g), scale // g
+    return num, scale
 
 
 class SymbolicField:

@@ -152,13 +152,17 @@ class TestStdoutDigests:
     """The sha256 of stdout for a few commands.  The first five were
     recorded while sigma and kappa were still stored as dense matrices and
     every y as a diagonal matrix: storing them as blocks and diagonals
-    changes no output byte.  The symbolic benchmark jobs (the last three)
+    changes no output byte.  The three symbolic entries after those
+    (``rep --lambda 1,1,1 --n 5``, ``rep --lambda= --n 4``, ``central --n 4``)
     were recorded while every sum and product in Q(q, nu) still reduced its
     whole cross product by one gcd: skipping or shrinking that gcd where
     the result is provably reduced changes no output byte either.  The
     rational ``central`` digest was recorded while the CLI still chose its
     own formatter for rational entries: printing every entry through
-    ``format_scalar`` changes no output byte."""
+    ``format_scalar`` changes no output byte.  The last two were recorded
+    while every denominator was still an expanded polynomial reduced by
+    sympy's gcd: factoring denominators over the genericity base and
+    cancelling by trial division changes no output byte."""
 
     @pytest.mark.parametrize("argv, digest", [
         ("rep --lambda 1,1 --n 4",
@@ -179,6 +183,10 @@ class TestStdoutDigests:
          "9bf3e3cf95bd557fba1c7931f412ec67afd61e1df40ac10e667d9a6648afa97c"),
         ("central --n 4 --mode rational",
          "1e7b9c9d635b4049f49d795e1d7614d40cb75d2a10abdff587e7b6c240d2daee"),
+        ("verify --n 5",
+         "78eedf132607aecdeca4f5b01c2132f6e9751e4af670f0405a1c2f32e0893ec1"),
+        ("rep --lambda 2,1 --n 5",
+         "95ba1718bb20571d0ed57cb09c1d22a2bbda2d152f10906003ba4ea3163ede7b"),
     ])
     def test_stdout_sha256(self, argv, digest, capsys):
         status, out = run_cli(argv.split(), capsys)

@@ -1,11 +1,15 @@
 """Seminormal matrices: block structure, construction, relation checks."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from bmwtower import central, gauge, polygcd, scalars
 from bmwtower import combinatorics as comb
-from bmwtower import gauge
 from bmwtower import repbuilder as rb
 from bmwtower.scalars import (
     SYMBOLIC,
@@ -214,3 +218,50 @@ class TestSerialization:
         assert data["n"] == 2
         assert data["sigma"] == [[["nu"]]]
         assert len(data["y"]) == 2
+
+
+class TestGenericBase:
+    """Every denominator that the symbolic build, its verification, the
+    central scalars and the intertwiner checks produce factors over the
+    genericity base of ``polygcd``: no residual is left, so sympy's gcd never
+    runs, and every base factor divides q^(2z) - 1 or nu^2 q^(2z) - 1 with
+    |z| <= 2n, which ``check_generic`` requires to be nonzero at level n."""
+
+    def test_levels_up_to_4_take_no_gcd(self, monkeypatch):
+        def no_gcd(*args):
+            raise AssertionError("sympy gcd on one of the engine's own values")
+
+        split, met = scalars.split, set()
+
+        def recording_split(terms):
+            out = split(terms)
+            met.update(out[2])
+            return out
+
+        monkeypatch.setattr(polygcd, "_residual_gcd", no_gcd)
+        monkeypatch.setattr(scalars, "split", recording_split)
+        for n in range(1, 5):
+            met.clear()
+            for lam in level_vertices(n):
+                rep = rb.build_rep(lam, n, field=SYMBOLIC)
+                central.central_report(rep)
+                for k in range(1, n):
+                    assert all(ok for _, _, ok in central.intertwiner_checks(rep, k))
+            assert met or n == 1
+            for key in met:
+                if isinstance(key, int):   # Phi_m
+                    assert any(2 * z % key == 0 for z in range(1, 2 * n + 1)), (n, key)
+                else:                      # nu q^k - s
+                    assert abs(key[0]) <= 2 * n, (n, key)
+
+    def test_verify_does_not_import_sympy(self):
+        src = str(Path(rb.__file__).resolve().parents[1])
+        code = ("import sys\n"
+                "from bmwtower import cli\n"
+                "status = cli.main(['verify', '--n', '3'])\n"
+                "print(status, 'sympy' in sys.modules)\n")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 False"

@@ -5,11 +5,12 @@ from functools import reduce
 from math import gcd
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from test_polygcd import _gcd, _gcd_is_unit
+from sympy import Poly, factor_list, symbols
+from test_polygcd import _gcd_is_unit
 
-from bmwtower.polygcd import reduce_fraction
+from bmwtower.polygcd import base_terms, reduce_fraction
 from bmwtower.scalars import (
     SYMBOLIC,
     GenericSpecialization,
@@ -17,7 +18,6 @@ from bmwtower.scalars import (
     NonGenericPoint,
     ScalarFraction,
     TruncatedSeries,
-    _coprime,
     check_generic,
     format_scalar,
     parse_scalar,
@@ -53,6 +53,7 @@ nonzero_scalars = scalars.filter(lambda x: bool(x))
 fractions_st = st.builds(
     lambda a, b: a / b, scalars, nonzero_scalars
 )
+nonzero_values = st.fractions(min_value=-9, max_value=9, max_denominator=5).filter(bool)
 
 
 class TestFieldOps:
@@ -107,6 +108,23 @@ def _oracle(num, den):
 
 nums_st = st.dictionaries(exps, coeffs, max_size=3)
 dens_st = st.dictionaries(exps, coeffs.filter(bool), min_size=1, max_size=3)
+# members of the genericity base: Phi_m(q), and nu q^k - s
+base_keys = st.one_of(st.integers(1, 12),
+                      st.tuples(st.integers(-4, 4), st.sampled_from([1, -1])))
+
+
+def _base_product(keys):
+    out = LaurentPoly.from_int(1)
+    for key in keys:
+        out = out * LaurentPoly(base_terms(key))
+    return out.terms
+
+
+# denominators (and numerators) that factor over the base take the trial
+# division path; the others leave a residual, which takes sympy's gcd
+base_products = st.lists(base_keys, max_size=3).map(_base_product)
+nums_any = st.one_of(nums_st, base_products)
+dens_any = st.one_of(dens_st, base_products)
 ONE_D = {(0, 0): 1}
 Q_MINUS_1 = {(1, 0): 1, (0, 0): -1}
 Q_PLUS_1 = {(1, 0): 1, (0, 0): 1}
@@ -115,13 +133,15 @@ Q_PLUS_2 = {(1, 0): 1, (0, 0): 2}
 
 class TestReducedOperands:
     """Sums, products, quotients, negations and inverses of canonical
-    operands are the canonical pair of their value, whichever shortcut
-    skips or shrinks the gcd: structurally equal to the oracle, with
-    numerator and denominator coprime.  The operands are n1/(f g1) and
-    n2/(f g2), so their denominators share the factor f."""
+    operands are the canonical pair of their value, whether they cancel by
+    trial division over the genericity base or by the residual's gcd:
+    structurally equal to the oracle, with numerator and denominator
+    coprime, and with a stored factorization that multiplies out to the
+    denominator.  The operands are n1/(f g1) and n2/(f g2), so their
+    denominators share the factor f."""
 
-    @settings(max_examples=100, deadline=None)
-    @given(nums_st, dens_st, nums_st, dens_st, dens_st)
+    @settings(max_examples=150, deadline=None)
+    @given(nums_any, dens_any, nums_any, dens_any, dens_any)
     # a zero operand
     @example({}, ONE_D, Q_PLUS_1, {(0, 0): 1, (0, 1): -1}, Q_PLUS_1)
     # -1 with (q + 1)/(q - 1), and 3 q nu^-1 / 2 with (nu + 1)/(2 q + 1)
@@ -155,31 +175,44 @@ class TestReducedOperands:
         if x:
             cases.append((ONE / x, b, a))
         for result, num, den in cases:
-            assert (result.num.terms, result.den.terms) == _oracle(num, den)
+            want = _oracle(num, den)
+            assert (result.num.terms, result.den.terms) == want
+            assert _expanded(result).terms == want[1]
             if result:
                 assert _gcd_is_unit(result.num.terms, result.den.terms)
-
-    @settings(max_examples=150, deadline=None)
-    @given(st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(any),
-           st.lists(coeffs.filter(bool), min_size=2, max_size=3),
-           dens_st, st.booleans())
-    # q^2 - 1 against (q - nu)(q^2 - 1): every line in q holds two terms
-    @example((1, 0), [-1, 0, 1], {(1, 0): 1, (0, 1): -1}, True)
-    # q^2 - 1 against q - nu: the lines in q hold one term each
-    @example((1, 0), [-1, 0, 1], {(1, 0): 1, (0, 1): -1}, False)
-    def test_coprime_supports_imply_constant_gcd(self, step, cs, r, share):
-        """p = f(q^a nu^b) on a line; r shares a factor of p when asked."""
-        a, b = step
-        p = {(k * a, k * b): c for k, c in enumerate(cs) if c}
-        if share:
-            r = (LaurentPoly(r) * LaurentPoly(p)).terms
-        if _coprime(LaurentPoly(p), LaurentPoly(r)):
-            assert _gcd(p, r).is_ground
 
     def test_partial_cancellation(self):
         x = parse_scalar("2/((q - 1)*(q + 1))")
         y = parse_scalar("3/((q - 1)*(q + 2))")
         assert format_scalar(x - y) == "(-1)/(q^2 + 3*q + 2)"
+
+
+def _in_base(factor, q, v):
+    """True when the irreducible sympy Poly ``factor`` in q, v is a member of
+    the genericity base up to a unit: cyclotomic in q, or +-v q^k +- 1 (or
+    +-v +- q^k) with one term of each v-degree 0 and 1."""
+    if factor.degree(v) == 0:
+        return Poly(factor.as_expr(), q).is_cyclotomic
+    monoms = factor.monoms()
+    return (len(monoms) == 2 and sorted(m[1] for m in monoms) == [0, 1]
+            and all(abs(c) == 1 for c in factor.coeffs()))
+
+
+def _expanded(x):
+    """x's stored denominator factorization, multiplied out; its residual
+    has no irreducible factor in the base (sympy's factorization)."""
+    out = LaurentPoly.from_int(x.scale)
+    for key, e in x.exps.items():
+        for _ in range(e):
+            out = out * LaurentPoly(base_terms(key))
+    if x.residual is not None:
+        q, v = symbols("q v")
+        terms = x.residual.terms
+        mq, mv = min(a for a, _ in terms), min(b for _, b in terms)
+        expr = sum(c * q ** (a - mq) * v ** (b - mv) for (a, b), c in terms.items())
+        assert not any(_in_base(Poly(f, q, v), q, v) for f, _ in factor_list(expr)[1])
+        out = out * x.residual
+    return out
 
 
 class TestEquality:
@@ -225,19 +258,22 @@ class TestSpecialize:
         with pytest.raises(NonGenericPoint):
             specialize(x, s)
 
-    @settings(max_examples=60, deadline=None)
-    @given(fractions_st, fractions_st)
-    def test_homomorphism(self, x, y):
-        point = GenericSpecialization(2, 3)
+    @settings(max_examples=100, deadline=None)
+    @given(fractions_st, fractions_st, nonzero_values, nonzero_values)
+    def test_homomorphism(self, x, y, q, nu):
+        """At a random generic point, specialization commutes with + - * /."""
+        point = GenericSpecialization(q, nu)
+        assume(check_generic(point, 2))
         try:
             sx = specialize(x, point)
             sy = specialize(y, point)
-            sxy = specialize(x * y, point)
-            sxpy = specialize(x + y, point)
         except NonGenericPoint:
             return
-        assert sxy == sx * sy
-        assert sxpy == sx + sy
+        assert specialize(x * y, point) == sx * sy
+        assert specialize(x + y, point) == sx + sy
+        assert specialize(x - y, point) == sx - sy
+        if sy:
+            assert specialize(x / y, point) == sx / sy
 
 
 class TestCheckGeneric:
