@@ -9,6 +9,11 @@ bulk part
 is exact over the rep's coefficient field; the boundary contribution
 (q - q^-1) xi / (1 - xi) * Id is complex because xi is a square root of
 -a*nu, generically irrational.
+
+sigma_m and kappa_m are stored as their blocks at position m, so the bulk
+is scattered from them: entry (r, c) sums S + c K over the positions where
+r and c share a block.  It is the one dim x dim matrix the package forms,
+the matrix numpy diagonalizes; only its nonzero entries are specialized.
 """
 
 from __future__ import annotations
@@ -93,15 +98,23 @@ def hamiltonian(rep, params):
     coeff = u * f.nu / (f.nu + params.a_value(f))
     bulk = Matrix.zero(rep.dim, rep.dim, f)
     for m, (sig, kap) in enumerate(zip(rep.sigma, rep.kappa), 1):
-        bulk = bulk + rep.dense(m, [s + k.scale(coeff) for s, k in zip(sig, kap)])
+        for block, s, k in zip(rep.blocks[m], sig, kap):
+            for r, s_row, k_row in zip(block.members, s.rows, k.rows):
+                row = bulk.rows[r]
+                for c, x, y in zip(block.members, s_row, k_row):
+                    if y:
+                        x = x + coeff * y
+                    if x:
+                        row[c] = row[c] + x if row[c] else x
     boundary = params.xi / (1 - params.xi)
     return ChainHamiltonian(rep, params, bulk, boundary)
 
 
 def bulk_complex(h, s):
-    """The bulk matrix as a dense list of complex rows at specialization s."""
+    """The bulk matrix as a dense list of complex rows at specialization s;
+    only its nonzero entries are specialized."""
     return [
-        [complex(specialize(x, s)) for x in row]
+        [complex(specialize(x, s)) if x else 0j for x in row]
         for row in h.bulk.rows
     ]
 

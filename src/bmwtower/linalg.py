@@ -4,12 +4,13 @@ Entries are whatever the active field adapter produces (ScalarFraction in
 symbolic mode, fractions.Fraction in rational mode); all that is required
 of them is +, -, *, /, truthiness of nonzero and semantic ==.  Storage is
 dense, but the elementwise kernels and products skip zero entries, since
-block and class matrices and the whole matrices assembled for output are
-mostly zeros.  The representations themselves keep only the blocks of
-sigma and kappa and the diagonals of the Jucys-Murphy elements
-(``repbuilder.SeminormalRep``).  Sizes stay in the tens to low hundreds,
-so inversion and linear solves are plain Gauss-Jordan; the package itself
-performs neither, and both serve the dense test oracles.
+block and class matrices are mostly zeros.  The representations keep only
+the blocks of sigma and kappa and the diagonals of the Jucys-Murphy
+elements (``repbuilder.SeminormalRep``), and no whole matrix is assembled
+from them except the chain Hamiltonian's bulk (``chains``).  Sizes stay in
+the tens to low hundreds, so inversion and linear solves are plain
+Gauss-Jordan; the package itself performs neither, and both serve the
+dense test oracles.
 """
 
 from __future__ import annotations

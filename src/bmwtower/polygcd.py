@@ -12,7 +12,8 @@ Every denominator that the seminormal build and its checks produce is a
 product of these: each divides q^(2z) - 1 or nu^2 q^(2z) - 1 for some |z|
 <= 2n, which ``scalars.check_generic`` requires to be nonzero.  Each member
 is stored normalized (``base_terms``): its lexicographically least exponent
-is (0, 0), with coefficient 1.
+is (0, 0), with coefficient 1.  A member is a constant, built once per
+process and shared by every caller.
 
 ``split`` factors a polynomial over B by substitution tests, without a gcd:
 
@@ -128,9 +129,22 @@ class Member(dict):
     __slots__ = ("key", "phi")
 
 
+# key -> Member, built once per process: the members are constants, shared by
+# every caller and never changed in place
+_MEMBERS = {}
+
+
 def base_terms(key):
     """The normalized member of B for a key: lexicographically least
-    exponent (0, 0), with coefficient 1."""
+    exponent (0, 0), with coefficient 1.  The returned dict is shared and
+    must not be changed."""
+    member = _MEMBERS.get(key)
+    if member is None:
+        member = _MEMBERS[key] = _member(key)
+    return member
+
+
+def _member(key):
     if isinstance(key, int):
         phi = _cyclotomic(key)
         # Phi_1 = q - 1 is stored as 1 - q

@@ -28,9 +28,11 @@ independent formula.
 The storage follows the basis: sigma_i and kappa_i only mix paths of one
 block at position i, so a ``SeminormalRep`` keeps them as their block
 matrices S and K, in the order of ``blocks[i]``, and every y as its
-diagonal.  ``SeminormalRep.dense`` assembles a whole matrix only for the
-output that reads one: the JSON output and the chain Hamiltonian.  The
-intertwiners (``central``) are stored and checked block by block too.
+diagonal.  No whole matrix is assembled from them: the JSON output
+(``rep_to_json``) writes its rows of strings straight from the blocks,
+the intertwiners (``central``) are stored and checked block by block too,
+and the chain Hamiltonian (``chains``) scatters its one dim x dim bulk
+from the blocks.
 
 Every built representation is verified against the full defining relation
 list before being returned.  Relations at one position (cubic, kappa
@@ -104,16 +106,6 @@ class SeminormalRep:
     @property
     def dim(self):
         return len(self.paths)
-
-    def dense(self, i, mats):
-        """The dim x dim matrix with the block matrices ``mats`` of position
-        i on the blocks ``self.blocks[i]`` and zero elsewhere."""
-        out = Matrix.zero(self.dim, self.dim, self.field)
-        for block, small in zip(self.blocks[i], mats):
-            for bi, gi in enumerate(block.members):
-                for bj, gj in enumerate(block.members):
-                    out.rows[gi][gj] = small.rows[bi][bj]
-        return out
 
 
 @dataclass(frozen=True)
@@ -642,12 +634,16 @@ class _Join:
             for k, r in enumerate(members):
                 self._place[r] = (c, k)
 
+    def class_of(self, block):
+        """The index of the class that holds a block at i or at j."""
+        return self._place[block.members[0]][0]
+
     def scatter(self, pos, mats):
         """One matrix per class: the block matrices ``mats`` of position
         ``pos`` (i or j) on their blocks, zero elsewhere."""
         out = [Matrix.zero(len(c), len(c), self.rep.field) for c in self.classes]
         for block, small in zip(self.rep.blocks[pos], mats):
-            rows = out[self._place[block.members[0]][0]].rows
+            rows = out[self.class_of(block)].rows
             local = [self._place[r][1] for r in block.members]
             for a, small_row in zip(local, small.rows):
                 row = rows[a]
@@ -685,21 +681,36 @@ def level_vertices(n):
 
 
 def rep_to_json(rep):
-    f = rep.field
+    """The rep as JSON: whole matrices of printed entries, with each block
+    entry and each diagonal entry printed and every other entry the zero
+    printed once."""
+    zero = format_scalar(rep.field.zero)
 
-    def mat(m):
-        return [[format_scalar(x) for x in row] for row in m.rows]
+    def zeros():
+        return [[zero] * rep.dim for _ in range(rep.dim)]
 
-    def dense(mats):
-        return [mat(rep.dense(i, m)) for i, m in enumerate(mats, 1)]
+    def whole(i, mats):
+        rows = zeros()
+        for block, small in zip(rep.blocks[i], mats):
+            for r, small_row in zip(block.members, small.rows):
+                row = rows[r]
+                for c, x in zip(block.members, small_row):
+                    row[c] = format_scalar(x)
+        return rows
+
+    def diagonal(d):
+        rows = zeros()
+        for r, x in enumerate(d):
+            rows[r][r] = format_scalar(x)
+        return rows
 
     data = {
         "lambda": list(rep.lam),
         "n": rep.n,
-        "mode": f.name,
+        "mode": rep.field.name,
         "paths": [[list(lamk) for lamk in p] for p in rep.paths],
-        "sigma": dense(rep.sigma),
-        "kappa": dense(rep.kappa),
-        "y": [mat(Matrix.diagonal(d, f)) for d in rep.y],
+        "sigma": [whole(i, m) for i, m in enumerate(rep.sigma, 1)],
+        "kappa": [whole(i, m) for i, m in enumerate(rep.kappa, 1)],
+        "y": [diagonal(d) for d in rep.y],
     }
     return json.dumps(data, indent=2, sort_keys=True)

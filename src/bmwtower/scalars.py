@@ -532,25 +532,26 @@ def check_generic(s, n):
     Needs: all values nu^(2e) q^(2z) for e in {0,1}, |z| <= n pairwise
     distinct; q^(2z) != 1 for 0 < |z| <= 2n; nu^2 q^(2z) != 1 for |z| <= 2n.
     Level 0 is held to the level-1 conditions, so nu^2 = 1 is never generic.
+    The powers q^(2z), |z| <= 2n, are computed once, as running products.
     """
     if n < 0:
         raise ValueError(f"level bound must be >= 0, got {n}")
     n = max(n, 1)
-    values = set()
-    count = 0
-    for e in (0, 1):
-        for z in range(-n, n + 1):
-            values.add(s.nu_value ** (2 * e) * s.q_value ** (2 * z))
-            count += 1
-    if len(values) != count:
+    # q^(2z) for z = -2n..2n, by running products from q^0 = 1
+    q2 = s.q_value**2
+    up, down = [Fraction(1)], [Fraction(1)]
+    for _ in range(2 * n):
+        up.append(up[-1] * q2)
+        down.append(down[-1] / q2)
+    pows = down[:0:-1] + up
+    nu2 = s.nu_value**2
+    near = pows[n : 3 * n + 1]  # |z| <= n
+    values = near + [nu2 * x for x in near]
+    if len(set(values)) != len(values):
         return False
-    for z in range(1, 2 * n + 1):
-        if s.q_value ** (2 * z) == 1 or s.q_value ** (-2 * z) == 1:
-            return False
-    for z in range(-2 * n, 2 * n + 1):
-        if s.nu_value**2 * s.q_value ** (2 * z) == 1:
-            return False
-    return True
+    if any(x == 1 for z, x in enumerate(pows) if z != 2 * n):
+        return False
+    return all(nu2 * x != 1 for x in pows)
 
 
 def require_generic(s, n):

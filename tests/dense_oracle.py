@@ -1,8 +1,8 @@
 """Dense references for the structured code in ``bmwtower``.
 
 Every reference works on the whole dim x dim matrices (``dense_parts``:
-sigma_i and kappa_i assembled from their blocks, each y as a diagonal
-matrix).  The relation verifier proves every relation with dim x dim
+sigma_i and kappa_i assembled from their blocks by ``dense_matrix``, each
+y as a diagonal matrix).  The relation verifier proves every relation with dim x dim
 products, including ``y_commute``, and sigma^{-1} comes from Gauss-Jordan
 elimination, so nothing here relies on the block structure of the
 seminormal generators; a singular sigma raises ``SingularMatrix``.  The
@@ -44,12 +44,23 @@ def vandermonde_kappa_weights(prefix, tokens, field):
     return dict(zip(tokens, solve(vand, zh)))
 
 
+def dense_matrix(rep, i, mats):
+    """The dim x dim matrix with the block matrices ``mats`` of position i
+    on the blocks ``rep.blocks[i]`` and zero elsewhere."""
+    out = Matrix.zero(rep.dim, rep.dim, rep.field)
+    for block, small in zip(rep.blocks[i], mats):
+        for bi, gi in enumerate(block.members):
+            for bj, gj in enumerate(block.members):
+                out.rows[gi][gj] = small.rows[bi][bj]
+    return out
+
+
 def dense_parts(rep):
     """Lists of the dense sigma_i, kappa_i (i = 1..n-1) and y_j (j = 1..n)."""
     f = rep.field
     return (
-        [rep.dense(i, s) for i, s in enumerate(rep.sigma, 1)],
-        [rep.dense(i, k) for i, k in enumerate(rep.kappa, 1)],
+        [dense_matrix(rep, i, s) for i, s in enumerate(rep.sigma, 1)],
+        [dense_matrix(rep, i, k) for i, k in enumerate(rep.kappa, 1)],
         [Matrix.diagonal(d, f) for d in rep.y],
     )
 

@@ -8,7 +8,7 @@ from bmwtower.scalars import SYMBOLIC
 from bmwtower.spectrum import Token
 
 from conftest import RATIONAL, cached_rep, level_vertices
-from dense_oracle import dense_parts
+from dense_oracle import dense_matrix, dense_parts
 
 Q = SYMBOLIC.q
 NU = SYMBOLIC.nu
@@ -112,7 +112,7 @@ class TestIntertwiners:
 
     def test_hook_at_3_swap(self):
         rep = cached_rep((2, 1), 3)
-        u = rep.dense(2, cen.intertwiner(rep, 2))
+        u = dense_matrix(rep, 2, cen.intertwiner(rep, 2))
         y = dense_parts(rep)[2]
         assert (u * y[1]).equals(y[2] * u)
 

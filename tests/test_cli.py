@@ -162,7 +162,10 @@ class TestStdoutDigests:
     ``format_scalar`` changes no output byte.  The last two were recorded
     while every denominator was still an expanded polynomial reduced by
     sympy's gcd: factoring denominators over the genericity base and
-    cancelling by trial division changes no output byte."""
+    cancelling by trial division changes no output byte.  The last three
+    were recorded while the chain Hamiltonian and the JSON output still
+    assembled whole matrices from the blocks: building both straight from
+    the blocks changes no output byte."""
 
     @pytest.mark.parametrize("argv, digest", [
         ("rep --lambda 1,1 --n 4",
@@ -187,6 +190,12 @@ class TestStdoutDigests:
          "78eedf132607aecdeca4f5b01c2132f6e9751e4af670f0405a1c2f32e0893ec1"),
         ("rep --lambda 2,1 --n 5",
          "95ba1718bb20571d0ed57cb09c1d22a2bbda2d152f10906003ba4ea3163ede7b"),
+        ("hamiltonian --lambda 2,1 --n 5",
+         "1e496e8fa80b4541e437f5b45ab15f3c96ed21ef0a3797631509548e44555fe3"),
+        ("hamiltonian --lambda 1,1 --n 6 --a=-1/q",
+         "a0abb688e1f2ef3355dc51a4aa844aa350d336387a2038817dc974abe1a42534"),
+        ("rep --lambda 4,1 --n 7 --mode rational --q 2 --nu 5",
+         "6426da675cd6d769080bbabbe7e26f3bf86ea11f08a5724860946d8a0454f0e4"),
     ])
     def test_stdout_sha256(self, argv, digest, capsys):
         status, out = run_cli(argv.split(), capsys)

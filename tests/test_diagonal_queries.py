@@ -13,6 +13,7 @@ from dense_oracle import (
     dense_central_scalars,
     dense_intertwiner,
     dense_intertwiner_checks,
+    dense_matrix,
     dense_power_sum,
 )
 
@@ -54,7 +55,7 @@ def test_agrees_with_dense_oracle():
         power_sum = Matrix.diagonal(cen.power_sum(rep, 2), rep.field)
         assert power_sum.equals(dense_power_sum(rep, 2)), label
         for k in range(1, rep.n):
-            got = rep.dense(k, cen.intertwiner(rep, k))
+            got = dense_matrix(rep, k, cen.intertwiner(rep, k))
             assert got.equals(dense_intertwiner(rep, k)), (label, k)
             assert _verdicts(cen.intertwiner_checks(rep, k)) == _verdicts(
                 dense_intertwiner_checks(rep, k)
@@ -63,6 +64,28 @@ def test_agrees_with_dense_oracle():
             params = _params(a)
             bulk = chains.hamiltonian(rep, params).bulk
             assert bulk.equals(dense_bulk(rep, _bulk_coeff(rep, params))), (label, a)
+
+
+def test_eigenvalues_are_numpy_on_the_dense_bulk():
+    """The spectrum of the bulk scattered from the blocks, with only its
+    nonzero entries specialized, is float for float numpy's on the bulk
+    summed over every entry, for every rational irrep with n <= 5."""
+    import numpy as np
+
+    for n in range(1, 6):
+        for lam in level_vertices(n):
+            rep = cached_rep(lam, n, "rational")
+            u = complex(rep.field.q - rep.field.q_pow(-1))
+            for a in chains.A_CHOICES:
+                params = _params(a)
+                h = chains.hamiltonian(rep, params)
+                bulk = dense_bulk(rep, _bulk_coeff(rep, params))
+                mat = np.array([[complex(x) for x in row] for row in bulk.rows],
+                               dtype=complex)
+                mat += (u * h.boundary) * np.eye(rep.dim)
+                want = sorted(np.linalg.eigvals(mat).tolist(),
+                              key=lambda z: (round(z.real, 9), round(z.imag, 9)))
+                assert chains.eigenvalues_numeric(h, RATIONAL) == want, (lam, n, a)
 
 
 def _perturbed_sigmas(rep):
@@ -119,6 +142,31 @@ def test_perturbed_kappa_and_y_verdicts_match_the_oracle(mode, n):
     failing = _failing_verdicts(mode, n, _perturbed_kappas_and_ys)
     assert {"U_swaps_y_k", "U_commutes_y_1", "kappa_U_zero"} <= failing
     assert ("U_braid" in failing) == (mode == "rational")
+
+
+@pytest.mark.parametrize("mode, n", [("symbolic", 3), ("rational", 5)])
+def test_one_member_block_fails_the_product_identity(mode, n):
+    """Some changed y entry lies in a block of one member at position k and
+    makes U_product_identity fail there, in both versions: where U and
+    [sigma_k, y_k] are the zero 1 x 1 block, the fast check reads only
+    the identity's right side."""
+    found = 0
+    for lam in level_vertices(n):
+        rep = cached_rep(lam, n, mode)
+        for _, bad in _perturbed_kappas_and_ys(rep):
+            changed = {r for d, e in zip(rep.y, bad.y)
+                       for r, (x, y) in enumerate(zip(d, e)) if x != y}
+            for k in range(1, n):
+                touched = [b for b in rep.blocks[k] if changed & set(b.members)]
+                if not touched or any(b.size > 1 for b in touched):
+                    continue
+                verdicts = [
+                    dict((name, ok) for name, _, ok in checks(bad, k))
+                    for checks in (cen.intertwiner_checks, dense_intertwiner_checks)
+                ]
+                if not any(v["U_product_identity"] for v in verdicts):
+                    found += 1
+    assert found
 
 
 @pytest.mark.parametrize("mode, n", [("symbolic", 3), ("rational", 4)])

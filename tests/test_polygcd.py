@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 from sympy import ZZ
 from sympy.polys.rings import ring
 
+from bmwtower import polygcd
 from bmwtower.polygcd import reduce_fraction
+from bmwtower.repbuilder import build_rep, level_vertices
 
 exps = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
 polys = st.dictionaries(exps, st.integers(-5, 5).filter(bool), min_size=1, max_size=4)
@@ -63,3 +65,17 @@ def test_common_factor_removed(f, g):
     n2, d2 = reduce_fraction(num, den)
     assert _gcd_is_unit(n2, d2)
     assert _mul(num, d2) == _mul(den, n2)
+
+
+def test_shared_members_stay_unchanged():
+    """``base_terms`` hands every caller the one Member of its key.  After
+    every symbolic irrep with n <= 4 is built and verified, each member
+    handed out equals a fresh build of it: no caller changed one."""
+    for n in range(5):
+        for lam in level_vertices(n):
+            build_rep(lam, n)
+    assert len(polygcd._MEMBERS) > 1
+    for key, member in polygcd._MEMBERS.items():
+        fresh = polygcd._member(key)
+        assert member == fresh and member.key == fresh.key == key
+        assert getattr(member, "phi", None) == getattr(fresh, "phi", None), key

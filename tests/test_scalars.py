@@ -299,6 +299,46 @@ class TestCheckGeneric:
         with pytest.raises(ValueError, match="level bound must be >= 0"):
             check_generic(GenericSpecialization(2, 3), -1)
 
+    def test_matches_the_power_formula(self):
+        """The running products give the verdicts of the conditions
+        evaluated power by power, on a grid of levels 0..8 and of points
+        with q = +-1, nu = +-1, nu = +-q^k (so nu^2 q^(2z) = 1 and
+        nu^2 q^(2z) = q^(2z') at some z, z'), and generic ones."""
+        qs = [Fraction(q) for q in (1, -1, 2, -2, Fraction(1, 2), Fraction(-3, 2), 3)]
+        verdicts = set()
+        for q in qs:
+            nus = {Fraction(1), Fraction(-1), Fraction(5), Fraction(-7, 3)}
+            nus |= {sign * q**k for sign in (1, -1) for k in range(-17, 18)}
+            for nu in nus:
+                point = GenericSpecialization(q, nu)
+                for n in range(9):
+                    got = check_generic(point, n)
+                    assert got == _generic_by_powers(point, n), (q, nu, n)
+                    verdicts.add((q ** 2 == 1, nu ** 2 == 1, got))
+        # generic and not, with q^2 and nu^2 away from 1, and at q, nu = +-1
+        assert {(False, False, True), (False, False, False),
+                (True, False, False), (False, True, False)} <= verdicts
+
+
+def _generic_by_powers(s, n):
+    """check_generic's conditions with every power computed on its own."""
+    n = max(n, 1)
+    values = set()
+    count = 0
+    for e in (0, 1):
+        for z in range(-n, n + 1):
+            values.add(s.nu_value ** (2 * e) * s.q_value ** (2 * z))
+            count += 1
+    if len(values) != count:
+        return False
+    for z in range(1, 2 * n + 1):
+        if s.q_value ** (2 * z) == 1 or s.q_value ** (-2 * z) == 1:
+            return False
+    for z in range(-2 * n, 2 * n + 1):
+        if s.nu_value**2 * s.q_value ** (2 * z) == 1:
+            return False
+    return True
+
 
 class TestFormatParse:
     def test_example_form(self):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from bmwtower import central as cen
+from bmwtower import chains
 from bmwtower import repbuilder as rb
 from bmwtower.linalg import Matrix, SingularMatrix
 from bmwtower.scalars import SYMBOLIC, GenericSpecialization
@@ -225,22 +226,42 @@ def test_checks_carry_their_seconds():
 
 
 @pytest.mark.parametrize("field, lam, n", [
-    (SYMBOLIC, (2,), 4),
+    (SYMBOLIC, (3,), 5),
     (GenericSpecialization(Fraction(2), Fraction(5)), (4, 1), 7),
 ])
 def test_no_whole_matrix_is_assembled(field, lam, n, monkeypatch):
     """Braid, locality and kappa-sigma-kappa run class by class, and so do
     the braid guard of a build without verification and the intertwiner
-    checks at every position."""
-    def refuse(self, i, mats):
-        raise AssertionError("a whole matrix was assembled")
+    checks at every position; central scalars read the y diagonals and the
+    JSON output writes its rows from the blocks.  The one dim x dim matrix
+    is the chain Hamiltonian's bulk.  The irreps are chosen so that dim
+    exceeds every block and every class of a join (at level 4 a class of
+    every irrep of dim > 1 spans the whole basis)."""
+    dim = len(rb._canonical_paths(lam, n))
+    whole = []
+    zero = Matrix.zero.__func__
 
-    monkeypatch.setattr(rb.SeminormalRep, "dense", refuse)
+    def counted(cls, rows, cols, f):
+        if (rows, cols) == (dim, dim):
+            whole.append(rows)
+        return zero(cls, rows, cols, f)
+
+    monkeypatch.setattr(Matrix, "zero", classmethod(counted))
     rep = rb.build_rep(lam, n, field=field, verify=False)
+    assert dim > max(
+        len(c) for i in range(1, n) for j in range(i + 1, n)
+        for c in rb._Join(rep, i, j).classes
+    )
     assert rb.verify_relations(rep).ok
     rb.build_rep(lam, n, field=field)
     for k in range(1, n):
         assert all(ok for _, _, ok in cen.intertwiner_checks(rep, k)), k
+    cen.central_report(rep)
+    rb.rep_to_json(rep)
+    assert whole == []
+    params = chains.ChainParams.standard("q", Fraction(2), Fraction(5))
+    chains.hamiltonian(rep, params)
+    assert whole == [dim]
 
 
 def _partition(groups):
