@@ -161,24 +161,12 @@ def central_scalars(rep, max_power=3):
     return out
 
 
-def _bracket(mat, d):
-    """[mat, diag(d)]: entry mat[r][c] (d[c] - d[r]), zero on the diagonal
-    and wherever mat is zero."""
-    zero = mat.field.zero
-    return Matrix(
-        [[x * (d[c] - d[r]) if x and r != c else zero for c, x in enumerate(row)]
-         for r, row in enumerate(mat.rows)],
-        mat.field,
-        _copy=False,
-    )
-
-
 def _block_intertwiner(lb, nu2):
     """U on one block: S[r][c] (D[c] - D[r]) with D = a - nu^2/b, and the
     exact zero [[0]] on a block of one member, where D[c] - D[r] = 0."""
     if lb.block.size == 1:
         return Matrix.zero(1, 1, lb.s.field)
-    return _bracket(lb.s, [x - nu2 / y for x, y in zip(lb.a, lb.b)])
+    return lb.s.bracket([x - nu2 / y for x, y in zip(lb.a, lb.b)])
 
 
 def intertwiner(rep, k):
@@ -253,7 +241,7 @@ def intertwiner_checks(rep, k):
             (q * x - qinv * y) * (q * y - qinv * x) * (f.one - nu2 / (x * y))
             for x, y in zip(lb.a, lb.b)
         ]
-        return (ub * _bracket(lb.s, lb.a)).equals(Matrix.diagonal(rhs, f))
+        return (ub * lb.s.bracket(lb.a)).equals(Matrix.diagonal(rhs, f))
 
     checks.append(("U_product_identity", k,
                    all(product_identity(lb, ub) for lb, ub in zip(local, blocks))))

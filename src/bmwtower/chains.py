@@ -97,10 +97,11 @@ def hamiltonian(rep, params):
     # nu + a != 0: nu = -a would make nu^2 q^(-+2) = 1, never generic
     coeff = u * f.nu / (f.nu + params.a_value(f))
     bulk = Matrix.zero(rep.dim, rep.dim, f)
+    rows = bulk.rows
     for m, (sig, kap) in enumerate(zip(rep.sigma, rep.kappa), 1):
         for block, s, k in zip(rep.blocks[m], sig, kap):
             for r, s_row, k_row in zip(block.members, s.rows, k.rows):
-                row = bulk.rows[r]
+                row = rows[r]
                 for c, x, y in zip(block.members, s_row, k_row):
                     if y:
                         x = x + coeff * y

@@ -641,15 +641,12 @@ class _Join:
     def scatter(self, pos, mats):
         """One matrix per class: the block matrices ``mats`` of position
         ``pos`` (i or j) on their blocks, zero elsewhere."""
-        out = [Matrix.zero(len(c), len(c), self.rep.field) for c in self.classes]
+        parts = [[] for _ in self.classes]
         for block, small in zip(self.rep.blocks[pos], mats):
-            rows = out[self.class_of(block)].rows
-            local = [self._place[r][1] for r in block.members]
-            for a, small_row in zip(local, small.rows):
-                row = rows[a]
-                for b, x in zip(local, small_row):
-                    row[b] = x
-        return out
+            parts[self.class_of(block)].append(
+                ([self._place[r][1] for r in block.members], small))
+        f = self.rep.field
+        return [Matrix.direct_sum(len(c), p, f) for c, p in zip(self.classes, parts)]
 
 
 def _braid_test(join):
@@ -680,11 +677,40 @@ def level_vertices(n):
     return comb.build_graph(n).levels[n]
 
 
+def _layout(obj, level):
+    """``json.dumps(obj, indent=2)`` of nested lists whose leaves are
+    already JSON text."""
+    if not isinstance(obj, list):
+        return obj
+    if not obj:
+        return "[]"
+    inner = "\n" + "  " * (level + 1)
+    if isinstance(obj[0], str):
+        items = obj
+    else:
+        items = [_layout(x, level + 1) for x in obj]
+    return "[" + inner + ("," + inner).join(items) + "\n" + "  " * level + "]"
+
+
 def rep_to_json(rep):
     """The rep as JSON: whole matrices of printed entries, with each block
     entry and each diagonal entry printed and every other entry the zero
-    printed once."""
-    zero = format_scalar(rep.field.zero)
+    printed once.
+
+    The text is ``json.dumps(data, indent=2, sort_keys=True)`` byte for
+    byte, laid out by ``_layout`` with each distinct printed entry quoted
+    once; json's own encoder runs in pure Python when it indents.
+    """
+    quoted = {}
+
+    def text(x):
+        s = format_scalar(x)
+        q = quoted.get(s)
+        if q is None:
+            q = quoted[s] = json.dumps(s)
+        return q
+
+    zero = text(rep.field.zero)
 
     def zeros():
         return [[zero] * rep.dim for _ in range(rep.dim)]
@@ -695,22 +721,24 @@ def rep_to_json(rep):
             for r, small_row in zip(block.members, small.rows):
                 row = rows[r]
                 for c, x in zip(block.members, small_row):
-                    row[c] = format_scalar(x)
+                    row[c] = text(x)
         return rows
 
     def diagonal(d):
         rows = zeros()
         for r, x in enumerate(d):
-            rows[r][r] = format_scalar(x)
+            rows[r][r] = text(x)
         return rows
 
     data = {
-        "lambda": list(rep.lam),
-        "n": rep.n,
-        "mode": rep.field.name,
-        "paths": [[list(lamk) for lamk in p] for p in rep.paths],
-        "sigma": [whole(i, m) for i, m in enumerate(rep.sigma, 1)],
         "kappa": [whole(i, m) for i, m in enumerate(rep.kappa, 1)],
+        "lambda": [str(r) for r in rep.lam],
+        "mode": json.dumps(rep.field.name),
+        "n": str(rep.n),
+        "paths": [[[str(r) for r in lamk] for lamk in p] for p in rep.paths],
+        "sigma": [whole(i, m) for i, m in enumerate(rep.sigma, 1)],
         "y": [diagonal(d) for d in rep.y],
     }
-    return json.dumps(data, indent=2, sort_keys=True)
+    return "{\n" + ",\n".join(
+        f'  "{key}": {_layout(value, 1)}' for key, value in sorted(data.items())
+    ) + "\n}"

@@ -12,12 +12,200 @@ The chain's bulk sum adds every entry, zero or not.  All of it is
 slow and kept for tests at small n only.  The kappa weights of a diagram's
 steps solve a Vandermonde system against the central generating function
 instead of reading the quantum dimensions.
+
+The matrices here are ``DenseMatrix``: entry lists with entrywise kernels
+over the field's own scalars (``fractions.Fraction`` at a rational point),
+so no reference runs through the scaled-integer kernels of
+``bmwtower.linalg.Matrix``.  ``entrywise_kernels`` puts the same kernels
+on ``Matrix`` itself, so that the package's block verifier can run over
+them too.
 """
+
+from contextlib import contextmanager
 
 from bmwtower import central as cen
 from bmwtower.central import CentralityViolated
-from bmwtower.linalg import Matrix, solve
+from bmwtower.linalg import Matrix, SingularMatrix
 from bmwtower.repbuilder import Report
+
+
+class DenseMatrix:
+    """Rows of field entries with entrywise, zero-skipping kernels.
+
+    The methods read and write only ``rows``, ``n``, ``m`` and ``field``
+    and build results with ``type(self)``, so ``entrywise_kernels`` can
+    lend them to ``Matrix``.
+    """
+
+    __slots__ = ("rows", "n", "m", "field")
+
+    def __init__(self, rows, field, _copy=True):
+        self.rows = [list(r) for r in rows] if _copy else rows
+        self.n = len(self.rows)
+        self.m = len(self.rows[0]) if self.rows else 0
+        self.field = field
+
+    @classmethod
+    def zero(cls, n, m, field):
+        z = field.zero
+        return cls([[z] * m for _ in range(n)], field, _copy=False)
+
+    @classmethod
+    def identity(cls, n, field):
+        return cls.diagonal([field.one] * n, field)
+
+    @classmethod
+    def diagonal(cls, entries, field):
+        out = cls.zero(len(entries), len(entries), field)
+        for i, e in enumerate(entries):
+            out.rows[i][i] = e
+        return out
+
+    @classmethod
+    def direct_sum(cls, size, parts, field):
+        out = cls.zero(size, size, field)
+        for idx, block in parts:
+            for a, small in zip(idx, block.rows):
+                row = out.rows[a]
+                for b, x in zip(idx, small):
+                    row[b] = x
+        return out
+
+    def copy(self):
+        return type(self)(self.rows, self.field)
+
+    def __add__(self, other):
+        return type(self)(
+            [[a + b if b else a for a, b in zip(r, s)]
+             for r, s in zip(self.rows, other.rows)],
+            self.field,
+            _copy=False,
+        )
+
+    def __sub__(self, other):
+        return type(self)(
+            [[a - b if b else a for a, b in zip(r, s)]
+             for r, s in zip(self.rows, other.rows)],
+            self.field,
+            _copy=False,
+        )
+
+    def __neg__(self):
+        return type(self)([[-a for a in r] for r in self.rows], self.field, _copy=False)
+
+    def scale(self, c):
+        return type(self)(
+            [[c * a if a else a for a in r] for r in self.rows], self.field, _copy=False
+        )
+
+    def __mul__(self, other):
+        z = self.field.zero
+        orows = other.rows
+        out = [[z] * other.m for _ in range(self.n)]
+        for i, row in enumerate(self.rows):
+            orow = out[i]
+            for k, x in enumerate(row):
+                if not x:
+                    continue
+                for j, y in enumerate(orows[k]):
+                    if y:
+                        orow[j] = orow[j] + x * y
+        return type(self)(out, self.field, _copy=False)
+
+    def shift(self, c):
+        """self + c * identity."""
+        out = self.copy()
+        for i in range(self.n):
+            out.rows[i][i] = out.rows[i][i] + c
+        return out
+
+    def bracket(self, d):
+        """[self, diag(d)], entry by entry: self[r][c] (d[c] - d[r])."""
+        return self * type(self).diagonal(d, self.field) - (
+            type(self).diagonal(d, self.field) * self)
+
+    @property
+    def is_zero(self):
+        return all(not x for r in self.rows for x in r)
+
+    def equals(self, other):
+        if self.n != other.n or self.m != other.m:
+            return False
+        return all(
+            a == b for r, s in zip(self.rows, other.rows) for a, b in zip(r, s)
+        )
+
+    def inverse(self):
+        """Gauss-Jordan over the entries; raises SingularMatrix."""
+        if self.n != self.m:
+            raise SingularMatrix("not square")
+        n = self.n
+        f = self.field
+        a = [list(r) for r in self.rows]
+        b = [[f.one if i == j else f.zero for j in range(n)] for i in range(n)]
+        for col in range(n):
+            piv = next((r for r in range(col, n) if a[r][col]), None)
+            if piv is None:
+                raise SingularMatrix("singular matrix")
+            a[col], a[piv] = a[piv], a[col]
+            b[col], b[piv] = b[piv], b[col]
+            pinv = f.one / a[col][col]
+            a[col] = [x * pinv for x in a[col]]
+            b[col] = [x * pinv for x in b[col]]
+            for r in range(n):
+                fac = a[r][col]
+                if r == col or not fac:
+                    continue
+                a[r] = [x - fac * y for x, y in zip(a[r], a[col])]
+                b[r] = [x - fac * y for x, y in zip(b[r], b[col])]
+        return type(self)(b, f, _copy=False)
+
+
+def solve(a, rhs):
+    """Solve a x = rhs for a square matrix and a right-hand-side vector."""
+    n = a.n
+    f = a.field
+    m = [list(row) + [r] for row, r in zip(a.rows, rhs)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col]), None)
+        if piv is None:
+            raise SingularMatrix("singular linear system")
+        m[col], m[piv] = m[piv], m[col]
+        pinv = f.one / m[col][col]
+        m[col] = [x * pinv for x in m[col]]
+        for r in range(n):
+            if r != col and m[r][col]:
+                fac = m[r][col]
+                m[r] = [x - fac * y for x, y in zip(m[r], m[col])]
+    return [m[i][n] for i in range(n)]
+
+
+KERNELS = ("__add__", "__sub__", "__neg__", "scale", "__mul__", "shift",
+           "bracket", "is_zero", "equals")
+CONSTRUCTORS = ("identity", "diagonal", "direct_sum")
+
+
+@contextmanager
+def entrywise_kernels():
+    """``Matrix`` with the entrywise kernels of ``DenseMatrix`` in place of
+    its own, and with its scaled-integer form refused: while active, every
+    matrix the package makes holds its entries as rows, and every sum,
+    product and comparison is made entry by entry over the field."""
+
+    def refuse(self):
+        raise AssertionError("the scaled-integer form was used")
+
+    saved = {name: Matrix.__dict__[name] for name in KERNELS + CONSTRUCTORS + ("_exact",)}
+    try:
+        for name in KERNELS:
+            setattr(Matrix, name, DenseMatrix.__dict__[name])
+        for name in CONSTRUCTORS:
+            setattr(Matrix, name, classmethod(DenseMatrix.__dict__[name].__func__))
+        Matrix._exact = refuse
+        yield
+    finally:
+        for name, value in saved.items():
+            setattr(Matrix, name, value)
 
 
 def vandermonde_kappa_weights(prefix, tokens, field):
@@ -38,7 +226,7 @@ def vandermonde_kappa_weights(prefix, tokens, field):
                     f"repeated eigenvalue in block at i={len(prefix) + 1}"
                 )
     zh = cen.zhat_series(prefix, s - 1, field)
-    vand = Matrix(
+    vand = DenseMatrix(
         [[a_vals[k] ** p for k in range(s)] for p in range(s)], field
     )
     return dict(zip(tokens, solve(vand, zh)))
@@ -47,7 +235,7 @@ def vandermonde_kappa_weights(prefix, tokens, field):
 def dense_matrix(rep, i, mats):
     """The dim x dim matrix with the block matrices ``mats`` of position i
     on the blocks ``rep.blocks[i]`` and zero elsewhere."""
-    out = Matrix.zero(rep.dim, rep.dim, rep.field)
+    out = DenseMatrix.zero(rep.dim, rep.dim, rep.field)
     for block, small in zip(rep.blocks[i], mats):
         for bi, gi in enumerate(block.members):
             for bj, gj in enumerate(block.members):
@@ -61,7 +249,7 @@ def dense_parts(rep):
     return (
         [dense_matrix(rep, i, s) for i, s in enumerate(rep.sigma, 1)],
         [dense_matrix(rep, i, k) for i, k in enumerate(rep.kappa, 1)],
-        [Matrix.diagonal(d, f) for d in rep.y],
+        [DenseMatrix.diagonal(d, f) for d in rep.y],
     )
 
 
@@ -89,7 +277,7 @@ def dense_verify_relations(rep):
     qinv = f.q_pow(-1)
     nu = f.nu
     u = q - qinv
-    ident = Matrix.identity(rep.dim, f)
+    ident = DenseMatrix.identity(rep.dim, f)
     report = Report()
     sig, kap, y = dense_parts(rep)
 
@@ -148,7 +336,7 @@ def dense_verify_relations(rep):
         if m is None:
             continue
         zdiags = _zhat_diagonals(rep, i, 2 * m)
-        ypow = Matrix.identity(rep.dim, f)
+        ypow = DenseMatrix.identity(rep.dim, f)
         for p in range(2 * m + 1):
             lhs = kap[i - 1] * ypow * kap[i - 1]
             rhs = zdiags[p] * kap[i - 1]
@@ -168,7 +356,7 @@ def _zhat_diagonals(rep, i, order):
             cache[prefix] = cen.zhat_series(prefix, order, f)
         cols.append(cache[prefix])
     return [
-        Matrix.diagonal([cols[k][p] for k in range(rep.dim)], f)
+        DenseMatrix.diagonal([cols[k][p] for k in range(rep.dim)], f)
         for p in range(order + 1)
     ]
 
@@ -176,10 +364,10 @@ def _zhat_diagonals(rep, i, order):
 def dense_power_sum(rep, p):
     """The power sum Z^(p) = sum_j (y_j^p - nu^(2p) y_j^(-p)) as a matrix."""
     f = rep.field
-    total = Matrix.zero(rep.dim, rep.dim, f)
+    total = DenseMatrix.zero(rep.dim, rep.dim, f)
     nu2p = f.nu_pow(2 * p)
     for y in dense_parts(rep)[2]:
-        yp = Matrix.identity(rep.dim, f)
+        yp = DenseMatrix.identity(rep.dim, f)
         for _ in range(p):
             yp = yp * y
         total = total + yp - yp.inverse().scale(nu2p)
@@ -189,7 +377,7 @@ def dense_power_sum(rep, p):
 def dense_central_scalars(rep, max_power=3):
     """Scalars by which Z = y_1...y_n and Z^(0..max_power) act; raises
     if any is non-scalar."""
-    z = Matrix.identity(rep.dim, rep.field)
+    z = DenseMatrix.identity(rep.dim, rep.field)
     for y in dense_parts(rep)[2]:
         z = z * y
     c = is_scalar(z)
@@ -237,7 +425,7 @@ def dense_intertwiner_checks(rep, k):
     rhs = (
         (yk.scale(q) - yk1.scale(qinv))
         * (yk1.scale(q) - yk.scale(qinv))
-        * (Matrix.identity(rep.dim, f) - (yk * yk1).inverse().scale(nu2))
+        * (DenseMatrix.identity(rep.dim, f) - (yk * yk1).inverse().scale(nu2))
     )
     checks.append(("U_product_identity", k, lhs.equals(rhs)))
     if k >= 2:
@@ -261,4 +449,4 @@ def dense_bulk(rep, coeff):
         for r in range(rep.dim):
             for c in range(rep.dim):
                 rows[r][c] = rows[r][c] + sig[r][c] + coeff * kap[r][c]
-    return Matrix(rows, f, _copy=False)
+    return DenseMatrix(rows, f, _copy=False)

@@ -159,13 +159,18 @@ class TestStdoutDigests:
     the result is provably reduced changes no output byte either.  The
     rational ``central`` digest was recorded while the CLI still chose its
     own formatter for rational entries: printing every entry through
-    ``format_scalar`` changes no output byte.  The last two were recorded
-    while every denominator was still an expanded polynomial reduced by
+    ``format_scalar`` changes no output byte.  The two after it
+    (``verify --n 5``, ``rep --lambda 2,1 --n 5``) were recorded while
+    every denominator was still an expanded polynomial reduced by
     sympy's gcd: factoring denominators over the genericity base and
-    cancelling by trial division changes no output byte.  The last three
-    were recorded while the chain Hamiltonian and the JSON output still
+    cancelling by trial division changes no output byte.  The three after
+    those (two ``hamiltonian`` runs and ``rep --lambda 4,1 --n 7``) were
+    recorded while the chain Hamiltonian and the JSON output still
     assembled whole matrices from the blocks: building both straight from
-    the blocks changes no output byte."""
+    the blocks changes no output byte.  The last three were recorded while
+    every rational matrix was still a list of Fraction entries and the JSON
+    of ``rep`` was still written by json's own encoder: scaled-integer
+    matrices and the joined layout change no output byte."""
 
     @pytest.mark.parametrize("argv, digest", [
         ("rep --lambda 1,1 --n 4",
@@ -196,6 +201,12 @@ class TestStdoutDigests:
          "a0abb688e1f2ef3355dc51a4aa844aa350d336387a2038817dc974abe1a42534"),
         ("rep --lambda 4,1 --n 7 --mode rational --q 2 --nu 5",
          "6426da675cd6d769080bbabbe7e26f3bf86ea11f08a5724860946d8a0454f0e4"),
+        ("verify --n 6 --mode rational",
+         "728a4b524fada2090d029eb0977356f3c72bdfb63d4ed92476170cf4bb428338"),
+        ("rep --lambda 2 --n 6 --mode rational --q -2 --nu 5",
+         "1f5b74b2aa7de013e6af37e83b53fc876cbd073d73c9ced4f6708efbcb320a5a"),
+        ("rep --lambda 3 --n 7 --mode rational --q 2 --nu -5",
+         "e1d5bc4bfc49bd5dcb7bed5434ec14201d3cd153e3a2cb55590a01d1e27e0b8f"),
     ])
     def test_stdout_sha256(self, argv, digest, capsys):
         status, out = run_cli(argv.split(), capsys)

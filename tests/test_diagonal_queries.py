@@ -5,6 +5,7 @@ import pytest
 
 from bmwtower import central as cen
 from bmwtower import chains
+from bmwtower import repbuilder as rb
 from bmwtower.linalg import Matrix
 
 from conftest import RATIONAL, cached_rep, level_vertices, replace_parts, set_entries
@@ -15,6 +16,7 @@ from dense_oracle import (
     dense_intertwiner_checks,
     dense_matrix,
     dense_power_sum,
+    entrywise_kernels,
 )
 
 MAX_POWER = 5
@@ -142,6 +144,28 @@ def test_perturbed_kappa_and_y_verdicts_match_the_oracle(mode, n):
     failing = _failing_verdicts(mode, n, _perturbed_kappas_and_ys)
     assert {"U_swaps_y_k", "U_commutes_y_1", "kappa_U_zero"} <= failing
     assert ("U_braid" in failing) == (mode == "rational")
+
+
+def _all_checks(rep):
+    """The verifier's checks and the intertwiner checks at every k."""
+    return (
+        [(c.name, c.index, c.detail, c.ok) for c in rb.verify_relations(rep).checks],
+        [_verdicts(cen.intertwiner_checks(rep, k)) for k in range(1, rep.n)],
+    )
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_integer_kernels_give_the_entrywise_checks(n):
+    """On the perturbed rational irreps, scaled-integer kernels and the
+    entrywise Fraction kernels of the dense oracle give the same checks and
+    verdicts, in the verifier and in the intertwiner checks."""
+    for lam in level_vertices(n):
+        rep = cached_rep(lam, n, "rational")
+        for perturbations in (_perturbed_sigmas, _perturbed_kappas_and_ys):
+            for label, bad in perturbations(rep):
+                got = _all_checks(bad)
+                with entrywise_kernels():
+                    assert got == _all_checks(bad), (lam, label)
 
 
 @pytest.mark.parametrize("mode, n", [("symbolic", 3), ("rational", 5)])

@@ -219,6 +219,18 @@ class TestSerialization:
         assert data["sigma"] == [[["nu"]]]
         assert len(data["y"]) == 2
 
+    @pytest.mark.parametrize("mode, n", [("symbolic", 0), ("symbolic", 1),
+                                         ("symbolic", 2), ("symbolic", 3),
+                                         ("rational", 2), ("rational", 4)])
+    def test_layout_is_json_indent_2(self, mode, n):
+        """The joined layout is the bytes of json's own indented encoder,
+        empty lists (the empty diagram, no sigma at n < 2) included."""
+        import json
+
+        for lam in level_vertices(n):
+            text = rb.rep_to_json(cached_rep(lam, n, mode))
+            assert text == json.dumps(json.loads(text), indent=2, sort_keys=True)
+
 
 class TestGenericBase:
     """Every denominator that the symbolic build, its verification, the

@@ -18,7 +18,11 @@ from conftest import (
     replace_parts,
     set_entries,
 )
-from dense_oracle import dense_intertwiner_checks, dense_verify_relations
+from dense_oracle import (
+    dense_intertwiner_checks,
+    dense_verify_relations,
+    entrywise_kernels,
+)
 
 
 def _oracle_ok(rep):
@@ -92,6 +96,34 @@ def test_agrees_with_dense_oracle(mode, n):
         oracle = dense_verify_relations(rep)
         assert report.ok == oracle.ok
         assert _relations(report) == _relations(oracle)
+
+
+def _checks(rep):
+    """Every check of the block verifier: (name, index, detail, ok)."""
+    return [(c.name, c.index, c.detail, c.ok) for c in rb.verify_relations(rep).checks]
+
+
+def _entrywise_checks(rep):
+    """``_checks`` with every matrix sum, product and comparison made entry
+    by entry over Fraction (the kernels of ``dense_oracle.DenseMatrix``)."""
+    with entrywise_kernels():
+        return _checks(rep)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_integer_kernels_give_the_entrywise_checks(n):
+    """Scaled-integer kernels and entrywise Fraction kernels make the same
+    checks with the same verdicts, on every rational irrep with n <= 6 and
+    on each of its perturbations at 2 <= n <= 4."""
+    for lam in level_vertices(n):
+        rep = cached_rep(lam, n, "rational")
+        assert _checks(rep) == _entrywise_checks(rep), lam
+        if not 2 <= n <= 4:
+            continue
+        for label, bad in _perturbations(rep):
+            got = _checks(bad)
+            assert got == _entrywise_checks(bad), (lam, label)
+            assert not all(ok for *_, ok in got), (lam, label)
 
 
 @pytest.mark.parametrize("mode, levels", [("symbolic", range(2, 4)),
@@ -336,12 +368,14 @@ def test_merged_blocks_verify_like_the_oracle(mode, lam, n):
         report = rb.verify_relations(merged)
         assert report.ok and _oracle_ok(merged), i
         assert _relations(report) == _relations(dense_verify_relations(merged))
+        assert _checks(merged) == _entrywise_checks(merged), i
         size = merged.blocks[i][0].size
         coupled = replace_parts(merged, sigma=set_entries(
             merged.sigma, i - 1, 0,
             {(0, size - 1): merged.sigma[i - 1][0].rows[0][size - 1] + 1}))
         ok = rb.verify_relations(coupled).ok
         assert ok == _oracle_ok(coupled) and not ok, i
+        assert _checks(coupled) == _entrywise_checks(coupled), i
         for bad in (merged, coupled):
             for k in range(1, n):
                 got, want = (
