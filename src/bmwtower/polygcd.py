@@ -27,25 +27,19 @@ process and shared by every caller.
 
 What is left after every member of B is divided out is the residual.
 
-``reduce_fraction`` divides num and den by their gcd: it splits den,
-trial-divides num by each base factor of den as often as it divides, and
-then, if den has a residual, takes sympy's gcd of what remains of num and
-den; otherwise only integer content is left to cancel.  Only input from
-outside the package (random test polynomials, the dense oracle's
-elimination on perturbed reps, hand-written scalar text) makes a residual;
-sympy is imported inside ``_residual_gcd``, so runs that never meet one
-never import it.  ``scalars`` passes it the smallest denominator that can
-share a factor with a numerator: one base factor (in a product, each
-factor of the other operand's denominator; in a sum, each factor with
-equal exponents in both denominators, the only ones that can divide the
-sum's numerator), or a residual.  A base factor comes as a ``Member``,
-which is divided into num without a split.
+The scalars of ``scalars`` are the ring Z[q^±1, nu^±1] localized at B: a
+denominator is a product of members of B, and one whose split leaves a
+residual other than 1 is refused there (``scalars.OutsideBase``), not
+carried.  Every cancellation the scalars make is then by a known member:
+``reduce_fraction`` divides a numerator by one member of B when it divides.
+A member is prime, so that one trial division decides whether the fraction
+is reduced.  Nothing here computes a polynomial gcd.
 """
 
 from __future__ import annotations
 
 from functools import reduce
-from math import gcd, inf
+from math import gcd
 
 
 # --- the base -----------------------------------------------------------------
@@ -123,8 +117,7 @@ def _cyclotomic_at_2(m):
 
 class Member(dict):
     """The term dict of a member of B, tagged with its key (and, for Phi_m,
-    the coefficients of Phi_m), so that ``reduce_fraction`` need not split
-    a denominator that is one."""
+    the coefficients of Phi_m), which the trial division reads."""
 
     __slots__ = ("key", "phi")
 
@@ -263,15 +256,14 @@ def _trial_divide(terms, member):
     return None
 
 
-def _divide_out(terms, member, most=inf):
-    """(terms / member^j, j) for the largest j <= most with member^j | terms."""
+def _divide_out(terms, member):
+    """(terms / member^j, j) for the largest j with member^j | terms."""
     j = 0
-    while j < most:
+    while True:
         quotient = _trial_divide(terms, member)
         if quotient is None:
-            break
+            return terms, j
         terms, j = quotient, j + 1
-    return terms, j
 
 
 # --- splitting over the base ----------------------------------------------------
@@ -345,58 +337,11 @@ def split(terms):
 # --- reduction ------------------------------------------------------------------
 
 
-def _residual_gcd(num_terms, den_terms):
-    """(num/g, den/g) for g = the gcd of num and den in Z[q, nu], normalized
-    (lexicographically least exponent (0, 0), positive coefficient there),
-    by sympy's sparse-ring gcd."""
-    from sympy import ZZ
-    from sympy.polys.rings import ring
-
-    r = ring("q, v", ZZ)[0]
-
-    def shifted(terms):
-        mq = min(e[0] for e in terms)
-        mn = min(e[1] for e in terms)
-        return r.from_dict({(a - mq, b - mn): c for (a, b), c in terms.items()}), (mq, mn)
-
-    pn, (nq, nn) = shifted(num_terms)
-    pd, (dq, dn) = shifted(den_terms)
-    g, pn, pd = pn.cofactors(pd)
-    g = {m: int(c) for m, c in g.to_dict().items()}
-    # g = sign q^gq nu^gn times the normalized gcd
-    gq, gn = min(g)
-    sign = 1 if g[(gq, gn)] > 0 else -1
-    return tuple(
-        {(a + zq + gq, b + zn + gn): sign * int(c) for (a, b), c in p.to_dict().items()}
-        for p, (zq, zn) in ((pn, (nq, nn)), (pd, (dq, dn)))
-    )
-
-
-def reduce_fraction(num_terms, den_terms):
-    """(num/g, den/g) for g = gcd(num, den), taken normalized, so that a
-    normalized denominator stays normalized.  num must be nonzero.
-
-    The base factors of den are divided out of num by trial division; only
-    a residual of den meets sympy's gcd.  Dividing by a base factor f is
-    exact on both sides, so a den that is f itself comes back as {(0, 0): 1}
-    exactly when f divides num."""
-    if isinstance(den_terms, Member):
-        quotient = _trial_divide(num_terms, den_terms)
-        if quotient is None:
-            return num_terms, den_terms
-        return quotient, {(0, 0): 1}
-    c, _, exps, residual = split(den_terms)
-    num, den = num_terms, den_terms
-    for key, e in exps.items():
-        member = base_terms(key)
-        num, j = _divide_out(num, member, e)
-        den = _divide_out(den, member, j)[0]
-    # what is left of den shares with num at most integer content and a
-    # factor of the residual
-    if residual is not None:
-        return _residual_gcd(num, den)
-    g = gcd(reduce(gcd, num.values(), 0), c)
-    if g > 1:
-        num = {m: v // g for m, v in num.items()}
-        den = {m: v // g for m, v in den.items()}
-    return num, den
+def reduce_fraction(num_terms, member):
+    """num/member in lowest terms, for a member of B: (num / member,
+    {(0, 0): 1}) when the member divides num, else (num, member).  The
+    member is prime, so one trial division decides."""
+    quotient = _trial_divide(num_terms, member)
+    if quotient is None:
+        return num_terms, member
+    return quotient, {(0, 0): 1}

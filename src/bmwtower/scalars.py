@@ -1,19 +1,23 @@
-"""Exact arithmetic in the coefficient field Q(q, nu).
+"""Exact arithmetic in the coefficient ring of the seminormal construction.
 
 Elements are fractions of integer-coefficient Laurent polynomials in the
 two variables q and nu, always in lowest terms and normalized (see
-``ScalarFraction``).  The numerator is a ``LaurentPoly``; the denominator
-is kept factored, as a positive integer times an exponent vector over the
-genericity base B of ``polygcd`` (the cyclotomic Phi_m(q) and the binomials
-nu q^k - s, s = +-1) times a residual polynomial that no member of B
-divides.  The residual is 1 on every value the package builds: each of its
-denominators divides a product of q^(2z) - 1 and nu^2 q^(2z) - 1, which
-``check_generic`` requires to be nonzero.
+``ScalarFraction``), whose denominators are an integer times a product of
+members of the genericity base B of ``polygcd``: the cyclotomic Phi_m(q)
+and the binomials nu q^k - s, s = +-1.  That is, the scalars form the ring
+Z[q^±1, nu^±1] localized at B and at the nonzero integers, not all of
+Q(q, nu).  It holds every value the package builds: each denominator of
+the seminormal construction divides a product of q^(2z) - 1 and
+nu^2 q^(2z) - 1, the eigenvalue separations whose nonvanishing
+``check_generic`` requires.  A division whose divisor has a factor outside
+B raises ``OutsideBase``: the constructor ``ScalarFraction(num, den)``,
+``1/x`` and ``x/y`` refuse such a value rather than carry it.
 
-Because every operand is reduced and its denominator's prime factors in B
-are known, each cancellation is a trial division (``reduce_fraction`` with
-one base factor as the denominator), and only by the factors that can be
-shared:
+The numerator is a ``LaurentPoly``; the denominator is kept factored, as a
+positive integer times an exponent vector over B.  Because every operand is
+reduced and its denominator's prime factors are known, each cancellation is
+a trial division (``reduce_fraction`` with one member of B), and only by
+the factors that can be shared:
 
 - ``x * y`` divides each numerator by the other operand's factors, and adds
   the exponent vectors;
@@ -25,13 +29,10 @@ shared:
 - ``1/x`` and the constructor ``ScalarFraction(num, den)`` split a
   polynomial over B (``polygcd.split``); ``-x`` never reduces.
 
-A residual ≠ 1, made only by input from outside the package, is the one
-place a polynomial gcd runs (sympy's, inside ``reduce_fraction``): against
-the other numerator in a product, against the numerator of a sum whose
-operands' residuals share a factor, and between two residuals for their
-lcm.  Integer content is cancelled by integer gcds.  Equality compares the
-canonical forms, which are unique.  The expanded denominator ``den``, read
-by the printer and ``evaluate``, is built on demand and kept per instance.
+Integer content is cancelled by integer gcds; no polynomial gcd runs.
+Equality compares the canonical forms, which are unique.  The expanded
+denominator ``den``, read by the printer and ``evaluate``, is built on
+demand and kept per instance.
 
 A ``GenericSpecialization`` maps everything to ``fractions.Fraction`` for
 fast numeric runs; ``check_generic`` guards the eigenvalue-separation
@@ -154,6 +155,11 @@ class NonGenericPoint(ArithmeticError):
     pass
 
 
+class OutsideBase(ArithmeticError):
+    """A divisor with a factor outside the genericity base: the quotient is
+    not a value of the scalars' ring."""
+
+
 def _poly(terms):
     """A LaurentPoly on a term dict that has no zero coefficient."""
     p = LaurentPoly()
@@ -162,39 +168,38 @@ def _poly(terms):
 
 
 class ScalarFraction:
-    """Element of Q(q, nu) as a canonical numerator and factored denominator.
+    """A value of Z[q^±1, nu^±1] localized at the genericity base, as a
+    canonical numerator and factored denominator.
 
     Canonical: numerator and denominator have no common factor but a unit,
     the denominator's lexicographically least exponent is (0, 0) with a
     positive coefficient, and the common integer content of numerator and
     denominator is divided out.  The denominator is ``scale`` (a positive
-    integer) times the product of ``base_terms(key) ** e`` over ``exps``
-    times ``residual`` (None for 1; else normalized and primitive).  Each
-    base term and the residual have least exponent (0, 0) with a positive
-    coefficient, so their product does too.  ``exps`` dicts are shared
-    between values and never changed in place.
+    integer) times the product of ``base_terms(key) ** e`` over ``exps``.
+    Each base term has least exponent (0, 0) with a positive coefficient,
+    so the product does too.  ``exps`` dicts are shared between values and
+    never changed in place.  ``ScalarFraction(num, den)`` raises
+    ``OutsideBase`` when den has a factor outside the base.
     """
 
-    __slots__ = ("num", "scale", "exps", "residual", "_den")
+    __slots__ = ("num", "scale", "exps", "_den")
 
     def __init__(self, num, den=None):
         if den is not None and den.is_zero:
             raise ZeroDivision("division by zero in Q(q, nu)")
         if den is None or num.is_zero:
-            self.num, self.scale, self.exps, self.residual = num, 1, {}, None
+            self.num, self.scale, self.exps = num, 1, {}
             self._den = _ONE_POLY
             return
         self._den = None
-        c, (zq, zn), exps, residual = split(den.terms)
+        c, (zq, zn), exps = _split(den)
         if (zq, zn) != (0, 0):
             num = num.shift(-zq, -zn)
         if c < 0:
             num = -num
         num, exps = _cancel(num, exps, exps)
-        if residual is not None:
-            num, residual = _cancel_residual(num, _poly(residual))
         num, scale = _cancel_content(num, abs(c))
-        self.num, self.scale, self.exps, self.residual = num, scale, exps, residual
+        self.num, self.scale, self.exps = num, scale, exps
 
     @staticmethod
     def from_int(c):
@@ -212,8 +217,6 @@ class ScalarFraction:
             d = LaurentPoly.from_int(self.scale)
             for key, e in self.exps.items():
                 d = _times_base(d, key, e)
-            if self.residual is not None:
-                d = d * self.residual
             self._den = d
         return d
 
@@ -232,8 +235,7 @@ class ScalarFraction:
         return NotImplemented
 
     def _same_den(self, other):
-        return (self.scale == other.scale and self.exps == other.exps
-                and self.residual == other.residual)
+        return self.scale == other.scale and self.exps == other.exps
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -249,11 +251,8 @@ class ScalarFraction:
             if not num.terms:
                 return _ZERO
             num, exps = _cancel(num, self.exps, self.exps)
-            residual = self.residual
-            if residual is not None:
-                num, residual = _cancel_residual(num, residual)
             num, scale = _cancel_content(num, self.scale)
-            return _fraction(num, scale, exps, residual)
+            return _fraction(num, scale, exps)
         eb, ed = self.exps, other.exps
         # the lcm of the denominators, and the factors with equal exponents
         # in both: no other factor can divide the numerator of the sum
@@ -273,32 +272,17 @@ class ScalarFraction:
             a = a.times_int(scale // sb)
         if scale != sd:
             c = c.times_int(scale // sd)
-        rb, rd = self.residual, other.residual
-        if rb == rd:
-            residual, common = rb, rb is not None
-        elif rb is None:
-            residual, common, a = rd, False, a * rd
-        elif rd is None:
-            residual, common, c = rb, False, c * rb
-        else:
-            # rb = h rb1 and rd = h rd1; their lcm is rb rd1
-            t1, t2 = reduce_fraction(rb.terms, rd.terms)
-            common = t2 != rd.terms
-            a, c = a * _poly(t2), c * _poly(t1)
-            residual = rb * _poly(t2)
         num = a + c
         if not num.terms:
             return _ZERO
         num, exps = _cancel(num, shared, exps)
-        if common:
-            num, residual = _cancel_residual(num, residual)
         num, scale = _cancel_content(num, scale)
-        return _fraction(num, scale, exps, residual)
+        return _fraction(num, scale, exps)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _fraction(-self.num, self.scale, self.exps, self.residual, self._den)
+        return _fraction(-self.num, self.scale, self.exps, self._den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -321,11 +305,6 @@ class ScalarFraction:
         # is then coprime up to a unit, and so is the product
         a, ed = _cancel(self.num, other.exps, other.exps)
         c, eb = _cancel(other.num, self.exps, self.exps)
-        rb, rd = self.residual, other.residual
-        if rd is not None:
-            a, rd = _cancel_residual(a, rd)
-        if rb is not None:
-            c, rb = _cancel_residual(c, rb)
         a, sd = _cancel_content(a, other.scale)
         c, sb = _cancel_content(c, self.scale)
         if not eb:
@@ -336,21 +315,20 @@ class ScalarFraction:
             exps = dict(eb)
             for key, e in ed.items():
                 exps[key] = exps.get(key, 0) + e
-        residual = rd if rb is None else rb if rd is None else rb * rd
-        return _fraction(a * c, sb * sd, exps, residual)
+        return _fraction(a * c, sb * sd, exps)
 
     __rmul__ = __mul__
 
     def invert(self):
         if self.num.is_zero:
             raise ZeroDivision("division by zero in Q(q, nu)")
-        c, (zq, zn), exps, residual = split(self.num.terms)
+        c, (zq, zn), exps = _split(self.num)
         num = self.den
         if (zq, zn) != (0, 0):
             num = num.shift(-zq, -zn)
         if c < 0:
             num = -num
-        return _fraction(num, abs(c), exps, None if residual is None else _poly(residual))
+        return _fraction(num, abs(c), exps)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -392,17 +370,26 @@ class ScalarFraction:
         return f"<{format_scalar(self)}>"
 
 
-def _fraction(num, scale, exps, residual, den=None):
+def _fraction(num, scale, exps, den=None):
     """A ScalarFraction from canonical parts, with no reduction."""
     out = ScalarFraction.__new__(ScalarFraction)
-    out.num, out.scale, out.exps, out.residual = num, scale, exps, residual
-    if den is None and scale == 1 and not exps and residual is None:
+    out.num, out.scale, out.exps = num, scale, exps
+    if den is None and scale == 1 and not exps:
         den = _ONE_POLY
     out._den = den
     return out
 
 
-_ZERO = _fraction(LaurentPoly(), 1, {}, None)
+_ZERO = _fraction(LaurentPoly(), 1, {})
+
+
+def _split(p):
+    """``split`` of the nonzero polynomial p as (c, (zq, znu), exps);
+    OutsideBase when p has a factor outside the genericity base."""
+    c, lo, exps, residual = split(p.terms)
+    if residual is not None:
+        raise OutsideBase(f"{format_poly(p)} has a factor outside the genericity base")
+    return c, lo, exps
 
 
 def _times_base(p, key, e):
@@ -438,14 +425,6 @@ def _cancel(num, candidates, exps):
     return num, out
 
 
-def _cancel_residual(num, residual):
-    """num and residual without their common factor; None for a residual of 1."""
-    nt, rt = reduce_fraction(num.terms, residual.terms)
-    if rt == residual.terms:
-        return num, residual
-    return _poly(nt), (None if len(rt) == 1 else _poly(rt))
-
-
 def _cancel_content(num, scale):
     """num and the positive integer scale without their common content."""
     if scale == 1:
@@ -457,7 +436,7 @@ def _cancel_content(num, scale):
 
 
 class SymbolicField:
-    """Field adapter for the symbolic coefficient field Q(q, nu)."""
+    """Field adapter for the symbolic scalars (``ScalarFraction``)."""
 
     name = "symbolic"
 
@@ -716,6 +695,8 @@ def parse_scalar(text):
 
     def take():
         nonlocal pos
+        if pos == len(toks):
+            raise ParseError("unexpected end of scalar text")
         t = toks[pos]
         pos += 1
         return t

@@ -18,6 +18,7 @@ from dense_oracle import (
     dense_power_sum,
     entrywise_kernels,
 )
+from oracle_field import oracle_rep
 
 MAX_POWER = 5
 
@@ -123,10 +124,13 @@ def _perturbed_kappas_and_ys(rep):
 
 def _failing_verdicts(mode, n, perturbations):
     """Names of the intertwiner checks that fail on some perturbed irrep at
-    level n, after asserting that every verdict matches the oracle's."""
+    level n, after asserting that every verdict matches the oracle's.  A
+    symbolic irrep is perturbed in the oracle field: a changed y entry
+    such as nu^2 q^(2z) + 1 is inverted, and it is a divisor outside the
+    package's scalars."""
     failing = set()
     for lam in level_vertices(n):
-        for label, bad in perturbations(cached_rep(lam, n, mode)):
+        for label, bad in perturbations(oracle_rep(lam, n, mode)):
             for k in range(1, n):
                 got = _verdicts(cen.intertwiner_checks(bad, k))
                 assert got == _verdicts(dense_intertwiner_checks(bad, k)), (lam, label, k)
@@ -173,10 +177,11 @@ def test_one_member_block_fails_the_product_identity(mode, n):
     """Some changed y entry lies in a block of one member at position k and
     makes U_product_identity fail there, in both versions: where U and
     [sigma_k, y_k] are the zero 1 x 1 block, the fast check reads only
-    the identity's right side."""
+    the identity's right side.  A symbolic irrep is perturbed in the
+    oracle field."""
     found = 0
     for lam in level_vertices(n):
-        rep = cached_rep(lam, n, mode)
+        rep = oracle_rep(lam, n, mode)
         for _, bad in _perturbed_kappas_and_ys(rep):
             changed = {r for d, e in zip(rep.y, bad.y)
                        for r, (x, y) in enumerate(zip(d, e)) if x != y}

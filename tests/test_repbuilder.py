@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from bmwtower import central, gauge, polygcd, scalars
+from bmwtower import central, gauge, scalars
 from bmwtower import combinatorics as comb
 from bmwtower import repbuilder as rb
 from bmwtower.scalars import (
@@ -235,14 +235,12 @@ class TestSerialization:
 class TestGenericBase:
     """Every denominator that the symbolic build, its verification, the
     central scalars and the intertwiner checks produce factors over the
-    genericity base of ``polygcd``: no residual is left, so sympy's gcd never
-    runs, and every base factor divides q^(2z) - 1 or nu^2 q^(2z) - 1 with
-    |z| <= 2n, which ``check_generic`` requires to be nonzero at level n."""
+    genericity base of ``polygcd``: a divisor with a factor outside it would
+    raise ``OutsideBase``, and every base factor divides q^(2z) - 1 or
+    nu^2 q^(2z) - 1 with |z| <= 2n, which ``check_generic`` requires to be
+    nonzero at level n."""
 
     def test_levels_up_to_4_take_no_gcd(self, monkeypatch):
-        def no_gcd(*args):
-            raise AssertionError("sympy gcd on one of the engine's own values")
-
         split, met = scalars.split, set()
 
         def recording_split(terms):
@@ -250,7 +248,6 @@ class TestGenericBase:
             met.update(out[2])
             return out
 
-        monkeypatch.setattr(polygcd, "_residual_gcd", no_gcd)
         monkeypatch.setattr(scalars, "split", recording_split)
         for n in range(1, 5):
             met.clear()
@@ -267,13 +264,27 @@ class TestGenericBase:
                     assert abs(key[0]) <= 2 * n, (n, key)
 
     def test_verify_does_not_import_sympy(self):
+        """In a process where sympy cannot be imported, every command runs
+        and exits 0, and scalar text that divides by a polynomial outside
+        the base is refused."""
         src = str(Path(rb.__file__).resolve().parents[1])
         code = ("import sys\n"
+                "sys.modules['sympy'] = None\n"
                 "from bmwtower import cli\n"
-                "status = cli.main(['verify', '--n', '3'])\n"
-                "print(status, 'sympy' in sys.modules)\n")
+                "from bmwtower.scalars import OutsideBase, parse_scalar\n"
+                "for argv in sys.argv[1:]:\n"
+                "    assert cli.main(argv.split()) == 0, argv\n"
+                "try:\n"
+                "    parse_scalar('2/(q+2)')\n"
+                "except OutsideBase:\n"
+                "    sys.stderr.write('refused')\n")
+        commands = ["graph --n 3", "dims --n 3", "spectra --n 3",
+                    "rep --lambda 1 --n 3", "rep --lambda 2,1 --n 5 --mode rational",
+                    "verify --n 3", "verify --n 3 --mode rational",
+                    "central --n 3", "central --n 3 --mode rational",
+                    "hamiltonian --lambda 1,1 --n 4"]
         env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, env=env, timeout=120)
+        proc = subprocess.run([sys.executable, "-c", code, *commands],
+                              capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "0 False"
+        assert proc.stderr == "refused"

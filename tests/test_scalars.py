@@ -7,15 +7,16 @@ from math import gcd
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from sympy import Poly, factor_list, symbols
-from test_polygcd import _gcd_is_unit
+from test_polygcd import _gcd_is_unit, _mul, _shifted, base_keys, outside_base
 
-from bmwtower.polygcd import base_terms, reduce_fraction
+from bmwtower.polygcd import base_terms
 from bmwtower.scalars import (
     SYMBOLIC,
     GenericSpecialization,
     LaurentPoly,
     NonGenericPoint,
+    OutsideBase,
+    ParseError,
     ScalarFraction,
     TruncatedSeries,
     check_generic,
@@ -34,7 +35,8 @@ def q_pow(k):
     return ScalarFraction.monomial(k, 0)
 
 
-# -- strategy: random scalar fractions built from small Laurent polynomials --
+# -- strategy: random scalar fractions, a small Laurent polynomial over a
+# denominator in the genericity base --
 
 coeffs = st.integers(min_value=-4, max_value=4)
 exps = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
@@ -48,10 +50,26 @@ def _poly_to_scalar(d):
     return out
 
 
+def _base_product(keys):
+    out = LaurentPoly.from_int(1)
+    for key in keys:
+        out = out * LaurentPoly(base_terms(key))
+    return out.terms
+
+
+# members of the genericity base: Phi_m(q), and nu q^k - s; a denominator
+# is a monomial times a product of them
+base_products = st.lists(base_keys, max_size=3).map(_base_product)
+monomials = st.builds(lambda e, c: {e: c}, exps, coeffs.filter(bool))
+dens_st = st.builds(_mul, monomials, base_products)
+
 scalars = st.builds(_poly_to_scalar, polys)
-nonzero_scalars = scalars.filter(lambda x: bool(x))
 fractions_st = st.builds(
-    lambda a, b: a / b, scalars, nonzero_scalars
+    lambda a, d: a / _poly_to_scalar(d), scalars, dens_st
+)
+# units of the scalars' ring: numerator and denominator in the base
+units_st = st.builds(
+    lambda n, d: ScalarFraction(LaurentPoly(n), LaurentPoly(d)), dens_st, dens_st
 )
 nonzero_values = st.fractions(min_value=-9, max_value=9, max_denominator=5).filter(bool)
 
@@ -73,30 +91,46 @@ class TestFieldOps:
             ONE / ZERO
 
     @settings(max_examples=60, deadline=None)
-    @given(fractions_st, fractions_st, fractions_st)
-    def test_field_axioms(self, x, y, z):
+    @given(fractions_st, fractions_st, fractions_st, units_st)
+    def test_field_axioms(self, x, y, z, u):
         assert (x + y) + z == x + (y + z)
         assert (x * y) * z == x * (y * z)
         assert x * (y + z) == x * y + x * z
         assert x + y == y + x
         assert x * y == y * x
-        if x:
-            assert x * (ONE / x) == ONE
+        assert u * (ONE / u) == ONE
+
+    @pytest.mark.parametrize("text", ["q + 2", "nu^2*q^2 + 1", "(q - 1)*(q + 2)",
+                                      "2*nu*q - 1"])
+    def test_divisor_outside_the_base_is_refused(self, text):
+        """/, invert and the constructor refuse a divisor with a factor
+        outside the genericity base, also where the quotient would cancel
+        it: the value is refused, not carried."""
+        x = parse_scalar(text)
+        assert outside_base(x.num.terms)
+        with pytest.raises(OutsideBase):
+            Q / x
+        with pytest.raises(OutsideBase):
+            x.invert()
+        with pytest.raises(OutsideBase):
+            ScalarFraction(LaurentPoly.from_int(1), x.num)
+        with pytest.raises(OutsideBase):
+            ScalarFraction(x.num * x.num, x.num)
 
 
-# -- oracle: the canonical pair by definition, one reduction of the cross
-# products that an operation's value is --
+# -- oracle: the canonical pair by definition, the cross products that an
+# operation's value is, reduced by sympy's gcd --
 
 def _oracle(num, den):
-    """(num terms, den terms) of num/den put through reduce_fraction once
-    (when both sides have more than one term), then normalized: least
-    denominator exponent (0, 0) with a positive coefficient, common integer
-    content divided out."""
+    """(num terms, den terms) of num/den divided by their gcd (sympy's
+    cofactors), then normalized: least denominator exponent (0, 0) with a
+    positive coefficient, common integer content divided out."""
     if num.is_zero:
         return {}, {(0, 0): 1}
-    nt, dt = num.terms, den.terms
-    if len(nt) > 1 and len(dt) > 1:
-        nt, dt = reduce_fraction(nt, dt)
+    (pn, (nq, nn)), (pd, (dq, dn)) = _shifted(num.terms), _shifted(den.terms)
+    _, pn, pd = pn.cofactors(pd)
+    nt = {(a + nq, b + nn): int(c) for (a, b), c in pn.items()}
+    dt = {(a + dq, b + dn): int(c) for (a, b), c in pd.items()}
     zq, zn = min(dt)
     sign = 1 if dt[(zq, zn)] > 0 else -1
     g = reduce(gcd, list(nt.values()) + list(dt.values())) * sign
@@ -107,58 +141,46 @@ def _oracle(num, den):
 
 
 nums_st = st.dictionaries(exps, coeffs, max_size=3)
-dens_st = st.dictionaries(exps, coeffs.filter(bool), min_size=1, max_size=3)
-# members of the genericity base: Phi_m(q), and nu q^k - s
-base_keys = st.one_of(st.integers(1, 12),
-                      st.tuples(st.integers(-4, 4), st.sampled_from([1, -1])))
-
-
-def _base_product(keys):
-    out = LaurentPoly.from_int(1)
-    for key in keys:
-        out = out * LaurentPoly(base_terms(key))
-    return out.terms
-
-
-# denominators (and numerators) that factor over the base take the trial
-# division path; the others leave a residual, which takes sympy's gcd
-base_products = st.lists(base_keys, max_size=3).map(_base_product)
+# numerators in the base can be inverted; the others are refused as divisors
 nums_any = st.one_of(nums_st, base_products)
-dens_any = st.one_of(dens_st, base_products)
 ONE_D = {(0, 0): 1}
 Q_MINUS_1 = {(1, 0): 1, (0, 0): -1}
 Q_PLUS_1 = {(1, 0): 1, (0, 0): 1}
-Q_PLUS_2 = {(1, 0): 1, (0, 0): 2}
+NU_Q_MINUS_1 = {(1, 1): 1, (0, 0): -1}
+NU_MINUS_1 = {(0, 1): 1, (0, 0): -1}
 
 
 class TestReducedOperands:
     """Sums, products, quotients, negations and inverses of canonical
-    operands are the canonical pair of their value, whether they cancel by
-    trial division over the genericity base or by the residual's gcd:
-    structurally equal to the oracle, with numerator and denominator
-    coprime, and with a stored factorization that multiplies out to the
-    denominator.  The operands are n1/(f g1) and n2/(f g2), so their
-    denominators share the factor f."""
+    operands are the canonical pair of their value, cancelled by trial
+    division over the genericity base: structurally equal to the oracle,
+    with numerator and denominator coprime, and with a stored factorization
+    that multiplies out to the denominator.  The operands are n1/(f g1) and
+    n2/(f g2), so their denominators share the factor f.  A quotient is
+    refused exactly when its divisor's numerator has a factor outside the
+    base."""
 
     @settings(max_examples=150, deadline=None)
-    @given(nums_any, dens_any, nums_any, dens_any, dens_any)
+    @given(nums_any, dens_st, nums_any, dens_st, dens_st)
     # a zero operand
     @example({}, ONE_D, Q_PLUS_1, {(0, 0): 1, (0, 1): -1}, Q_PLUS_1)
-    # -1 with (q + 1)/(q - 1), and 3 q nu^-1 / 2 with (nu + 1)/(2 q + 1)
+    # -1 with (q + 1)/(q - 1), and 3 q nu^-1 / 2 with (nu + 1)/(2 q + 2)
     @example({(0, 0): -1}, ONE_D, Q_PLUS_1, Q_MINUS_1, ONE_D)
     @example({(1, -1): 3}, {(0, 0): 2}, {(0, 1): 1, (0, 0): 1},
-             {(1, 0): 2, (0, 0): 1}, ONE_D)
+             {(1, 0): 2, (0, 0): 2}, ONE_D)
     # 1/(2q + 2) and 1/(2q - 2): the denominators share only the content 2
     @example(ONE_D, Q_PLUS_1, ONE_D, Q_MINUS_1, {(0, 0): 2})
-    # 1/((q - 1)(q + 1)) and 1/((q - 1)(q + 2)) share the factor q - 1
-    @example(ONE_D, Q_PLUS_1, ONE_D, Q_PLUS_2, Q_MINUS_1)
-    # 2/((q - 1)(q + 1)) - 3/((q - 1)(q + 2)) = -1/((q + 1)(q + 2))
-    @example({(0, 0): 2}, Q_PLUS_1, {(0, 0): 3}, Q_PLUS_2, Q_MINUS_1)
-    # (q + 2)/((q - 1)(q + 1)) / (1/((q - 1)(q + 2))): cross cancellation
-    @example(Q_PLUS_2, Q_PLUS_1, ONE_D, Q_PLUS_2, Q_MINUS_1)
-    # (q + 1)/(q + 2) * (q + 2)/(q + 1): each numerator is the other's
-    # denominator
-    @example(Q_PLUS_1, Q_PLUS_2, Q_PLUS_2, Q_PLUS_1, ONE_D)
+    # 1/((q - 1)(q + 1)) and 1/((q - 1)(nu q - 1)) share the factor q - 1
+    @example(ONE_D, Q_PLUS_1, ONE_D, NU_Q_MINUS_1, Q_MINUS_1)
+    # 2/((q - 1)(q + 1)) - (nu - 1)/((q - 1)(nu q - 1))
+    # = (nu + 1)/((q + 1)(nu q - 1))
+    @example({(0, 0): 2}, Q_PLUS_1, NU_MINUS_1, NU_Q_MINUS_1, Q_MINUS_1)
+    # (nu q - 1)/((q - 1)(q + 1)) / (1/((q - 1)(nu q - 1))): cross
+    # cancellation
+    @example(NU_Q_MINUS_1, Q_PLUS_1, ONE_D, NU_Q_MINUS_1, Q_MINUS_1)
+    # (q + 1)/(nu q - 1) * (nu q - 1)/(q + 1): each numerator is the
+    # other's denominator
+    @example(Q_PLUS_1, NU_Q_MINUS_1, NU_Q_MINUS_1, Q_PLUS_1, ONE_D)
     def test_matches_one_reduction(self, n1, g1, n2, g2, f):
         shared = LaurentPoly(f)
         x = ScalarFraction(LaurentPoly(n1), shared * LaurentPoly(g1))
@@ -170,10 +192,19 @@ class TestReducedOperands:
             (x * y, a * c, b * d),
             (-x, -a, b),
         ]
+        quotients = []
         if y:
-            cases.append((x / y, a * d, b * c))
+            quotients.append((lambda: x / y, c, a * d, b * c))
         if x:
-            cases.append((ONE / x, b, a))
+            quotients.append((lambda: ONE / x, a, b, a))
+        for quotient, divisor, num, den in quotients:
+            refused = outside_base(divisor.terms)
+            try:
+                cases.append((quotient(), num, den))
+            except OutsideBase:
+                assert refused
+            else:
+                assert not refused
         for result, num, den in cases:
             want = _oracle(num, den)
             assert (result.num.terms, result.den.terms) == want
@@ -183,35 +214,16 @@ class TestReducedOperands:
 
     def test_partial_cancellation(self):
         x = parse_scalar("2/((q - 1)*(q + 1))")
-        y = parse_scalar("3/((q - 1)*(q + 2))")
-        assert format_scalar(x - y) == "(-1)/(q^2 + 3*q + 2)"
-
-
-def _in_base(factor, q, v):
-    """True when the irreducible sympy Poly ``factor`` in q, v is a member of
-    the genericity base up to a unit: cyclotomic in q, or +-v q^k +- 1 (or
-    +-v +- q^k) with one term of each v-degree 0 and 1."""
-    if factor.degree(v) == 0:
-        return Poly(factor.as_expr(), q).is_cyclotomic
-    monoms = factor.monoms()
-    return (len(monoms) == 2 and sorted(m[1] for m in monoms) == [0, 1]
-            and all(abs(c) == 1 for c in factor.coeffs()))
+        y = parse_scalar("(nu - 1)/((q - 1)*(nu*q - 1))")
+        assert format_scalar(x - y) == "(-nu - 1)/(-q^2*nu - q*nu + q + 1)"
 
 
 def _expanded(x):
-    """x's stored denominator factorization, multiplied out; its residual
-    has no irreducible factor in the base (sympy's factorization)."""
+    """x's stored denominator factorization, multiplied out."""
     out = LaurentPoly.from_int(x.scale)
     for key, e in x.exps.items():
         for _ in range(e):
             out = out * LaurentPoly(base_terms(key))
-    if x.residual is not None:
-        q, v = symbols("q v")
-        terms = x.residual.terms
-        mq, mv = min(a for a, _ in terms), min(b for _, b in terms)
-        expr = sum(c * q ** (a - mq) * v ** (b - mv) for (a, b), c in terms.items())
-        assert not any(_in_base(Poly(f, q, v), q, v) for f, _ in factor_list(expr)[1])
-        out = out * x.residual
     return out
 
 
@@ -259,21 +271,23 @@ class TestSpecialize:
             specialize(x, s)
 
     @settings(max_examples=100, deadline=None)
-    @given(fractions_st, fractions_st, nonzero_values, nonzero_values)
-    def test_homomorphism(self, x, y, q, nu):
-        """At a random generic point, specialization commutes with + - * /."""
+    @given(fractions_st, fractions_st, units_st, nonzero_values, nonzero_values)
+    def test_homomorphism(self, x, y, u, q, nu):
+        """At a random generic point, specialization commutes with + - *,
+        and with / by a unit of the scalars' ring."""
         point = GenericSpecialization(q, nu)
         assume(check_generic(point, 2))
         try:
             sx = specialize(x, point)
             sy = specialize(y, point)
+            su = specialize(u, point)
         except NonGenericPoint:
             return
         assert specialize(x * y, point) == sx * sy
         assert specialize(x + y, point) == sx + sy
         assert specialize(x - y, point) == sx - sy
-        if sy:
-            assert specialize(x / y, point) == sx / sy
+        if su:
+            assert specialize(x / u, point) == sx / su
 
 
 class TestCheckGeneric:
@@ -355,6 +369,11 @@ class TestFormatParse:
     @given(fractions_st)
     def test_roundtrip(self, x):
         assert parse_scalar(format_scalar(x)) == x
+
+    @pytest.mark.parametrize("text", ["", "q^", "(q", "q+", "q)", "q^q", "2 *", "nu/"])
+    def test_malformed_text_is_a_parse_error(self, text):
+        with pytest.raises(ParseError):
+            parse_scalar(text)
 
 
 class TestTruncatedSeries:

@@ -23,6 +23,7 @@ from dense_oracle import (
     dense_verify_relations,
     entrywise_kernels,
 )
+from oracle_field import oracle_rep
 
 
 def _oracle_ok(rep):
@@ -90,17 +91,27 @@ def _kappa_perturbations(rep, i):
 @pytest.mark.parametrize("mode", ["symbolic", "rational"])
 @pytest.mark.parametrize("n", range(1, 5))
 def test_agrees_with_dense_oracle(mode, n):
+    """The build's report makes the dense oracle's checks with its verdict.
+    A symbolic irrep is checked in the oracle field, where the oracle's
+    Gauss-Jordan pivots may divide by any polynomial, and the block
+    verifier gives the build's checks and verdicts there too."""
     for lam in level_vertices(n):
-        rep = cached_rep(lam, n, mode)
+        rep = oracle_rep(lam, n, mode)
         report = cached_report(lam, n, mode)
+        if mode == "symbolic":
+            assert _verdicts(rb.verify_relations(rep)) == _verdicts(report), lam
         oracle = dense_verify_relations(rep)
         assert report.ok == oracle.ok
         assert _relations(report) == _relations(oracle)
 
 
+def _verdicts(report):
+    return [(c.name, c.index, c.detail, c.ok) for c in report.checks]
+
+
 def _checks(rep):
     """Every check of the block verifier: (name, index, detail, ok)."""
-    return [(c.name, c.index, c.detail, c.ok) for c in rb.verify_relations(rep).checks]
+    return _verdicts(rb.verify_relations(rep))
 
 
 def _entrywise_checks(rep):
@@ -129,12 +140,20 @@ def test_integer_kernels_give_the_entrywise_checks(n):
 @pytest.mark.parametrize("mode, levels", [("symbolic", range(2, 4)),
                                           ("rational", range(2, 5))])
 def test_perturbed_reps_fail_like_the_oracle(mode, levels):
+    """A symbolic irrep is perturbed in the oracle field: a changed entry
+    such as nu^2 q^(2z) + 1 is a divisor outside the package's scalars.
+    At these levels the block verifier divides by no such entry, so it
+    also fails each perturbation made in the package's own scalars."""
     for n in levels:
         for lam in level_vertices(n):
-            for label, bad in _perturbations(cached_rep(lam, n, mode)):
+            pairs = zip(_perturbations(oracle_rep(lam, n, mode)),
+                        _perturbations(cached_rep(lam, n, mode)))
+            for (label, bad), (_, own) in pairs:
                 ok = rb.verify_relations(bad).ok
                 assert ok == _oracle_ok(bad), (lam, n, label)
                 assert not ok, (lam, n, label)
+                if mode == "symbolic":
+                    assert not rb.verify_relations(own).ok, (lam, n, label)
 
 
 @pytest.mark.parametrize("mode, n", [*(("symbolic", n) for n in range(2, 5)),
@@ -157,7 +176,8 @@ def test_case_4_blocks_take_the_rank_one_path(mode, n):
 def test_kappa_perturbations_reduce_like_the_oracle(mode, levels):
     """``cubic`` and ``kappa_y_power`` give the oracle's verdicts where
     kappa_i is perturbed: in the rank-one forms (doubled block; kappa
-    defined from a changed sigma) and in the dense fallback (rank two)."""
+    defined from a changed sigma) and in the dense fallback (rank two).
+    A symbolic irrep is perturbed in the oracle field."""
     def verdicts(report):
         return {(c.name, c.index, c.detail): c.ok for c in report.checks
                 if c.name in ("cubic", "kappa_y_power")}
@@ -165,7 +185,7 @@ def test_kappa_perturbations_reduce_like_the_oracle(mode, levels):
     seen = set()
     for n in levels:
         for lam in level_vertices(n):
-            rep = cached_rep(lam, n, mode)
+            rep = oracle_rep(lam, n, mode)
             for i in range(1, n):
                 for label, bad in _kappa_perturbations(rep, i):
                     ranked = [lb.rank_one for lb in rb._LocalBlock.at(bad, i)
