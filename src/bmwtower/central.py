@@ -3,7 +3,12 @@
 Everything here lives after the evaluation map: the affine seed data
 collapses to the constants c -> nu^2 and zhat^(p) -> mu for every p, with
 mu = 1 + (nu^{-1} - nu)/(q - q^{-1}).  The per-prefix scalars Zhat_k^(p)
-are read off a truncated power series in the bookkeeping variable t.
+are read off a truncated power series in the bookkeeping variable t, the
+product of one rational factor per prefix token (Nazarov, J. Algebra 182,
+1996).  A ``ZhatTable`` shares that work between prefixes: every prefix
+extends its parent by one token, so its product is the parent's times one
+factor.  ``repbuilder.verify_relations`` keeps one table for one call;
+``zhat_series`` answers one prefix from a table of its own.
 
 The queries read the rep's storage: the central elements are diagonal and
 formed from the y diagonals, and each intertwiner is one matrix per block
@@ -16,7 +21,7 @@ from __future__ import annotations
 import json
 
 from .linalg import Matrix
-from .scalars import NonGenericPoint, TruncatedSeries, format_scalar
+from .scalars import TruncatedSeries, format_scalar
 
 
 class CentralityViolated(ArithmeticError):
@@ -41,69 +46,90 @@ def _geometric(ratio_coeff, step, field, order):
     return TruncatedSeries(coeffs, field, order)
 
 
-def _poly_series(coeffs, field, order):
-    return TruncatedSeries(list(coeffs), field, order)
-
-
-def zhat_series(prefix, order, field):
-    """Scalars Zhat_k^(0..order) for a prefix of eigenvalue tokens.
+class ZhatTable:
+    """Scalars Zhat_k^(0..order) of prefixes of eigenvalue tokens.
 
     k is the prefix length.  The generating function is
 
-        A(t) + (M(t) - A(t)) * prod_r f_r(t),
+        A(t) + B(t) * prod_r f_r(t),
 
-    where A(t) = -nu/u + 1/(1 - nu^2 t^2), M(t) = mu/(1-t) + nu/u ... -
-    concretely the constant-plus-product shape below, with one rational
-    factor f_r per prefix token value y_r:
+    with A(t) = -nu/u + 1/(1 - nu^2 t^2) (``base``) and B(t) = mu/(1 - t) +
+    nu/u - 1/(1 - nu^2 t^2) (``head``), the same for every prefix, and one
+    rational factor f_r per prefix token value y_r:
 
         f_r = (1 - y t)^2 (q^2 - nu^2 y^{-1} t)(q^{-2} - nu^2 y^{-1} t)
               / [(1 - nu^2 y^{-1} t)^2 (q^2 - y t)(q^{-2} - y t)].
 
-    For an empty prefix every coefficient is mu.
+    For an empty prefix A + B = mu/(1 - t): every coefficient is mu.  The
+    table forms A and B once, each token's factor once, and each prefix's
+    product as its parent's product times the factor of its last token,
+    all truncated at ``order``.  Coefficient p of a product truncated at
+    order N does not depend on N >= p, so a table at the largest order a
+    caller needs answers every lower order exactly.  A table keeps what it
+    formed for as long as it lives and no longer.
     """
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    mu = mu_scalar(field)
-    if not prefix:
-        return [mu] * (order + 1)
-    one, zero = field.one, field.zero
-    u = field.q - field.q_pow(-1)
-    nu2 = field.nu_pow(2)
-    q2 = field.q_pow(2)
-    qm2 = field.q_pow(-2)
-    nu_over_u = field.nu / u
 
-    base = TruncatedSeries.constant(-nu_over_u, field, order) + _geometric(
-        nu2, 2, field, order
-    )
-    # mu/(1-t) + nu/u - 1/(1 - nu^2 t^2)
-    head = (
-        _geometric(one, 1, field, order) * TruncatedSeries.constant(mu, field, order)
-        + TruncatedSeries.constant(nu_over_u, field, order)
-        - _geometric(nu2, 2, field, order)
-    )
-    prod = TruncatedSeries.constant(one, field, order)
-    for tok in prefix:
-        y = field.token_value(tok)
-        yinv = one / y
-        w = nu2 * yinv
-        num = (
-            _poly_series([one, -y], field, order)
-            * _poly_series([one, -y], field, order)
-            * _poly_series([q2, -w], field, order)
-            * _poly_series([qm2, -w], field, order)
+    def __init__(self, field, order):
+        if order < 0:
+            raise ValueError("order must be >= 0")
+        self.field, self.order = field, order
+        mu = mu_scalar(field)
+        nu_over_u = field.nu / (field.q - field.q_pow(-1))
+        nu2_geometric = _geometric(field.nu_pow(2), 2, field, order)
+
+        def constant(c):
+            return TruncatedSeries.constant(c, field, order)
+
+        self.base = constant(-nu_over_u) + nu2_geometric
+        self.head = (
+            _geometric(field.one, 1, field, order) * constant(mu)
+            + constant(nu_over_u)
+            - nu2_geometric
         )
-        den = (
-            _poly_series([one, -w], field, order)
-            * _poly_series([one, -w], field, order)
-            * _poly_series([q2, -y], field, order)
-            * _poly_series([qm2, -y], field, order)
-        )
-        if not den.coeffs[0]:
-            raise NonGenericPoint("vanishing series denominator at prefix token")
-        prod = prod * (num * den.inverse())
-    full = base + head * prod
-    return list(full.coeffs)
+        self._factors = {}
+        self._products = {(): constant(field.one)}
+        self._coeffs = {}
+
+    def _factor(self, tok):
+        """f_r of one token, as a series."""
+        f = self._factors.get(tok)
+        if f is None:
+            field, order = self.field, self.order
+            one = field.one
+            y = field.token_value(tok)
+            w = field.nu_pow(2) / y
+            q2, qm2 = field.q_pow(2), field.q_pow(-2)
+
+            def poly(*coeffs):
+                return TruncatedSeries(list(coeffs), field, order)
+
+            num = poly(one, -y) * poly(one, -y) * poly(q2, -w) * poly(qm2, -w)
+            # constant term q^2 q^{-2} = 1, so the inverse exists
+            den = poly(one, -w) * poly(one, -w) * poly(q2, -y) * poly(qm2, -y)
+            f = self._factors[tok] = num * den.inverse()
+        return f
+
+    def _product(self, prefix):
+        """prod_r f_r over the prefix: its parent's product times one factor."""
+        prod = self._products.get(prefix)
+        if prod is None:
+            prod = self._product(prefix[:-1]) * self._factor(prefix[-1])
+            self._products[prefix] = prod
+        return prod
+
+    def __getitem__(self, prefix):
+        """Zhat^(0..order) of a prefix (a tuple of tokens), as a list."""
+        coeffs = self._coeffs.get(prefix)
+        if coeffs is None:
+            coeffs = (self.base + self.head * self._product(prefix)).coeffs
+            self._coeffs[prefix] = coeffs
+        return coeffs
+
+
+def zhat_series(prefix, order, field):
+    """Scalars Zhat_k^(0..order) for a prefix of eigenvalue tokens, from a
+    table of its own (``ZhatTable``)."""
+    return list(ZhatTable(field, order)[tuple(prefix)])
 
 
 def _scalar(entries):

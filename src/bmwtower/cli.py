@@ -3,7 +3,8 @@
 Every command produces deterministic output (sorted keys, canonical
 vertex ordering) and exits 0 exactly when all requested checks pass, 1
 when one fails, and 2, with a one-line message on stderr, when the
-arguments name no level, partition or generic point it can use.
+arguments name no level, partition or generic point it can use, or when
+the ``--out`` file cannot be written.
 """
 
 from __future__ import annotations
@@ -56,10 +57,20 @@ def _build_parser():
     return p
 
 
+def _rational(text, option):
+    """The rational number an option names; ValueError naming the option
+    when the text is not one (``1/0`` included)."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{option} must be a rational number, got {text!r}") from None
+
+
 def _point(args):
     """The rational point (--q, --nu), checked generic at level --n."""
     return require_generic(
-        GenericSpecialization(Fraction(args.q), Fraction(args.nu)), args.n
+        GenericSpecialization(_rational(args.q, "--q"), _rational(args.nu, "--nu")),
+        args.n,
     )
 
 
@@ -86,11 +97,12 @@ def _chain_params(args, s):
 
 
 def _validate(args):
-    """Raise ValueError, ZeroDivisionError, NonGenericPoint or
-    SingularParameter when the arguments name no level, partition, point or
-    chain the command can use."""
+    """Raise ValueError, NonGenericPoint or SingularParameter when the
+    arguments name no level, partition, point or chain the command can use."""
     if args.n < 0:
         raise ValueError(f"level must be >= 0, got --n {args.n}")
+    _rational(args.q, "--q")  # also where the mode reads neither
+    _rational(args.nu, "--nu")
     if args.command in ("rep", "verify", "central"):
         _field(args)
     if args.command in ("rep", "hamiltonian"):
@@ -175,15 +187,18 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         _validate(args)
-    except (ValueError, ZeroDivisionError, NonGenericPoint,
-            chains.SingularParameter) as exc:
+    except (ValueError, NonGenericPoint, chains.SingularParameter) as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
     status, text = run(args)
     if not text.endswith("\n"):
         text += "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            parser.exit(2, f"{parser.prog}: error: cannot write --out "
+                           f"{args.out}: {exc.strerror or exc}\n")
     else:
         sys.stdout.write(text)
     return status

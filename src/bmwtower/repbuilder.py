@@ -21,9 +21,8 @@ the braid identity between positions i and i+1 on each class of the join
 of their blocks (``_braid_test``): as the verifier's ``braid`` check, or
 while building when no verification follows (``build_rep(verify=False)``),
 so each build computes the braid products once.  Only the verifier's
-``kappa_y_power`` check reads the central scalars
-(``central.zhat_series``), so it tests the weights against an
-independent formula.
+``kappa_y_power`` check reads the central scalars (``central.ZhatTable``),
+so it tests the weights against an independent formula.
 
 The storage follows the basis: sigma_i and kappa_i only mix paths of one
 block at position i, so a ``SeminormalRep`` keeps them as their block
@@ -40,12 +39,13 @@ definition, skein, JM recursion, kappa-moment identities) are proven on
 the blocks, after a ``block_structure`` check that the blocks partition
 the basis and that each stored block matrix has its block's size; on a
 block where kappa has rank one the cubic and the kappa moments reduce to
-scalar identities in its row and column.  The relations that couple two
-positions i and j (braid, locality, kappa-sigma-kappa) are proven on the
-classes of the join of the blocks at i and at j (``_Join``), small
-matrices scattered from the stored blocks, so the verifier multiplies no
-whole matrix; sigma^{-1} comes from the skein relation, not from an
-inversion.
+scalar identities in its row and column, and on a block of one member
+every one of these relations is an identity between its entries.  The
+relations that couple two positions i and j (braid, locality,
+kappa-sigma-kappa) are proven on the classes of the join of the blocks
+at i and at j (``_Join``), small matrices scattered from the stored
+blocks, so the verifier multiplies no whole matrix; sigma^{-1} comes from
+the skein relation, not from an inversion.
 """
 
 from __future__ import annotations
@@ -376,8 +376,10 @@ def verify_relations(rep):
     and S (S - u + u K) = I on a square block says that S is invertible
     with S^{-1} = S - u + u K: that is ``skein``, and these blocks make up
     the sigma^{-1} that ``kappa_sigma_kappa_minus`` uses, with no
-    inversion.  ``kappa_y_power`` reads Zhat^(p) from each
-    member's own prefix, and is trivially true on a block where K = 0.
+    inversion (each formed once for both, ``_LocalBlock.skein_inverse``).
+    ``kappa_y_power`` reads Zhat^(p) from each member's own prefix.  It and
+    ``kappa_y_product`` are trivially true on a block where K = 0, and
+    take no product there.
 
     Where K != 0 it is tested once for rank one (``_LocalBlock.rank_one``):
     with a nonzero pivot K[a0][b0], its row r and its column c,
@@ -393,7 +395,19 @@ def verify_relations(rep):
     more, or whose members' prefixes differ, is checked with the dense
     block products.  Kappa is rank one on every Case-4 block by
     construction (``kappa_block``), so a built representation takes the
-    scalar forms throughout.
+    scalar forms throughout.  The Zhat^(p) come from one
+    ``central.ZhatTable`` made for this call at the largest order 2m any
+    position needs; it forms each token's factor once and each prefix's
+    product from its parent's, and is dropped when the call returns.
+
+    On a block of one member every matrix is 1 x 1, so each one-position
+    identity but ``kappa_y_power`` is checked as the scalar identity
+    between its entries: with s, k the entries of S, K and a, b those of
+    y_i, y_{i+1} there, ``kappa_definition`` is (q - s)(s + q^{-1}) =
+    nu u k, ``skein`` is s (s - u + u k) = 1, ``y_recursion`` is s a s = b,
+    ``kappa_y_product`` is a b k = nu^2 k, and ``cubic`` (given
+    ``kappa_definition``, as above) is k = 0 or s = nu.  Most blocks of a
+    level have one member, and no matrix is formed for them.
 
     ``braid`` and the two kappa-sigma-kappa relations couple positions i
     and i+1, and ``locality`` couples i and j >= i+2.  Every block at i and
@@ -421,6 +435,7 @@ def verify_relations(rep):
     nu = f.nu
     u = q - qinv
     nu2 = f.nu_pow(2)
+    nu_u = nu * u
     report = Report()
 
     def timed(name, index, test, detail=""):
@@ -438,9 +453,17 @@ def verify_relations(rep):
     def join(i, j):
         return _Join(rep, i, j)
 
-    def on_blocks(name, test):
+    def on_blocks(name, test, scalar):
+        """``test`` on every block of every position; on a block of one
+        member, ``scalar`` on its entries s, k of S, K and a, b of y_i,
+        y_{i+1}, the same identity between 1 x 1 matrices."""
+        def holds(lb):
+            if lb.block.size == 1:
+                return scalar(lb.s.rows[0][0], lb.k.rows[0][0], lb.a[0], lb.b[0])
+            return test(lb)
+
         for i in range(1, n):
-            timed(name, i, lambda: all(test(lb) for lb in local[i]))
+            timed(name, i, lambda: all(holds(lb) for lb in local[i]))
 
     def braid_holds(i):
         try:
@@ -482,41 +505,50 @@ def verify_relations(rep):
             return (row * lb.s).equals(row.scale(nu))
         return (lb.s.shift(-q) * lb.s.shift(qinv) * lb.s.shift(-nu)).is_zero
 
-    on_blocks("cubic", cubic_holds)
+    on_blocks("cubic", cubic_holds, lambda s, k, a, b: not k or s == nu)
     for i in range(1, n - 1):
         timed("kappa_sigma_kappa_plus", i,
               lambda: sandwich(i, rep.sigma[i], f.one / nu))
         # sigma_{i+1}^{-1} block by block, from the skein form (see skein)
         timed("kappa_sigma_kappa_minus", i,
-              lambda: sandwich(i, [lb.skein_inverse(u) for lb in local[i + 1]], nu))
+              lambda: sandwich(i, [lb.skein_inverse for lb in local[i + 1]], nu))
     on_blocks(
         "kappa_definition",
-        lambda lb: ((-lb.s).shift(q) * lb.s.shift(qinv)).equals(lb.k.scale(nu * u)),
+        lambda lb: ((-lb.s).shift(q) * lb.s.shift(qinv)).equals(lb.k.scale(nu_u)),
+        lambda s, k, a, b: (q - s) * (s + qinv) == nu_u * k,
     )
     on_blocks(
         "skein",
-        lambda lb: (lb.s * lb.skein_inverse(u)).equals(Matrix.identity(lb.s.n, f)),
+        lambda lb: (lb.s * lb.skein_inverse).equals(Matrix.identity(lb.s.n, f)),
+        lambda s, k, a, b: s * (s - u + u * k) == f.one,
     )
     on_blocks(
         "y_recursion",
         lambda lb: (lb.s * Matrix.diagonal(lb.a, f) * lb.s).equals(
             Matrix.diagonal(lb.b, f)
         ),
+        lambda s, k, a, b: s * a * s == b,
     )
 
     def kills_kappa(lb):
+        if lb.k.is_zero:
+            return True
         prod = Matrix.diagonal([a * b for a, b in zip(lb.a, lb.b)], f)
         target = lb.k.scale(nu2)
         return (prod * lb.k).equals(target) and (lb.k * prod).equals(target)
 
-    on_blocks("kappa_y_product", kills_kappa)
-    # Zhat series by prefix; a prefix's length fixes its position, so its order
-    zhat = {}
+    on_blocks("kappa_y_product", kills_kappa,
+              lambda s, k, a, b: a * b * k == nu2 * k)
+    orders = {}  # position -> 2m, m the largest (size - 1) // 2 of a Case-4 block
+    for i in range(1, n):
+        sizes = [b.size for b in rep.blocks[i] if b.case.tag == "4"]
+        if sizes:
+            orders[i] = 2 * ((max(sizes) - 1) // 2)
+    # one table for the call, at the largest order: Zhat^(p) does not
+    # depend on the order a series is truncated at, so long as it is >= p
+    zhat = cen.ZhatTable(f, max(orders.values(), default=0))
 
-    def moment_holds(lb, ypow, p, order):
-        for pre in lb.prefixes:
-            if pre not in zhat:
-                zhat[pre] = cen.zhat_series(pre, order, f)
+    def moment_holds(lb, ypow, p):
         if lb.rank_one and len(set(lb.prefixes)) == 1:
             col, row, pivot = lb.rank_one
             pairing = sum((r * x * c for r, x, c in zip(row, ypow, col)), f.zero)
@@ -524,20 +556,14 @@ def verify_relations(rep):
         z = Matrix.diagonal([zhat[pre][p] for pre in lb.prefixes], f)
         return (lb.k * Matrix.diagonal(ypow, f) * lb.k).equals(z * lb.k)
 
-    for i in range(1, n):
-        m = max(
-            ((b.size - 1) // 2 for b in rep.blocks[i] if b.case.tag == "4"),
-            default=None,
-        )
-        if m is None:
-            continue
+    for i, order in orders.items():
         coupled = [lb for lb in local[i] if not lb.k.is_zero]
         ypows = [[f.one] * len(lb.a) for lb in coupled]  # Y_i^p diagonals
-        for p in range(2 * m + 1):
+        for p in range(order + 1):
             timed(
                 "kappa_y_power", i,
                 lambda: all(
-                    moment_holds(lb, ypow, p, 2 * m)
+                    moment_holds(lb, ypow, p)
                     for lb, ypow in zip(coupled, ypows)
                 ),
                 detail=f"p={p}",
@@ -595,8 +621,11 @@ class _LocalBlock:
             return col, row, pivot
         return None
 
-    def skein_inverse(self, u):
+    @cached_property
+    def skein_inverse(self):
         """S - u + u K: the inverse of S exactly when the skein relation holds."""
+        f = self.s.field
+        u = f.q - f.q_pow(-1)
         return self.s.shift(-u) + self.k.scale(u)
 
 

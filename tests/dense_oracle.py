@@ -27,6 +27,7 @@ from bmwtower import central as cen
 from bmwtower.central import CentralityViolated
 from bmwtower.linalg import Matrix, SingularMatrix
 from bmwtower.repbuilder import Report
+from bmwtower.scalars import TruncatedSeries
 
 
 class DenseMatrix:
@@ -208,6 +209,55 @@ def entrywise_kernels():
             setattr(Matrix, name, value)
 
 
+def _series(coeffs, field, order):
+    return TruncatedSeries(list(coeffs), field, order)
+
+
+def _geometric(ratio, step, field, order):
+    """1/(1 - ratio * t^step), truncated at ``order``."""
+    coeffs = [field.zero] * (order + 1)
+    power = field.one
+    for k in range(0, order + 1, step):
+        coeffs[k] = power
+        power = power * ratio
+    return _series(coeffs, field, order)
+
+
+def zhat_from_scratch(prefix, order, field):
+    """Zhat^(0..order) of a prefix, with the whole product of its factors
+    formed anew: A(t) + B(t) prod_r f_r(t), the generating function of
+    ``central.ZhatTable``, with every factor f_r built from its four
+    numerator and four denominator binomials, and no table."""
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    mu = cen.mu_scalar(field)
+    if not prefix:
+        return [mu] * (order + 1)
+    one = field.one
+    u = field.q - field.q_pow(-1)
+    nu2 = field.nu_pow(2)
+    q2 = field.q_pow(2)
+    qm2 = field.q_pow(-2)
+    nu_over_u = field.nu / u
+    base = TruncatedSeries.constant(-nu_over_u, field, order) + _geometric(
+        nu2, 2, field, order)
+    head = (
+        _geometric(one, 1, field, order) * TruncatedSeries.constant(mu, field, order)
+        + TruncatedSeries.constant(nu_over_u, field, order)
+        - _geometric(nu2, 2, field, order)
+    )
+    prod = TruncatedSeries.constant(one, field, order)
+    for tok in prefix:
+        y = field.token_value(tok)
+        w = nu2 / y
+        num = (_series([one, -y], field, order) * _series([one, -y], field, order)
+               * _series([q2, -w], field, order) * _series([qm2, -w], field, order))
+        den = (_series([one, -w], field, order) * _series([one, -w], field, order)
+               * _series([q2, -y], field, order) * _series([qm2, -y], field, order))
+        prod = prod * (num * den.inverse())
+    return list((base + head * prod).coeffs)
+
+
 def vandermonde_kappa_weights(prefix, tokens, field):
     """Weights gamma of the steps with the given tokens out of a diagram.
 
@@ -225,7 +275,7 @@ def vandermonde_kappa_weights(prefix, tokens, field):
                 raise ArithmeticError(
                     f"repeated eigenvalue in block at i={len(prefix) + 1}"
                 )
-    zh = cen.zhat_series(prefix, s - 1, field)
+    zh = zhat_from_scratch(prefix, s - 1, field)
     vand = DenseMatrix(
         [[a_vals[k] ** p for k in range(s)] for p in range(s)], field
     )
@@ -353,7 +403,7 @@ def _zhat_diagonals(rep, i, order):
     for s in rep.strings:
         prefix = s[: i - 1]
         if prefix not in cache:
-            cache[prefix] = cen.zhat_series(prefix, order, f)
+            cache[prefix] = zhat_from_scratch(prefix, order, f)
         cols.append(cache[prefix])
     return [
         DenseMatrix.diagonal([cols[k][p] for k in range(rep.dim)], f)

@@ -1,14 +1,18 @@
 """Central scalars, the coefficient generating series, and intertwiners."""
 
+import functools
+from fractions import Fraction
+
 import pytest
 
 from bmwtower import central as cen
 from bmwtower import repbuilder as rb
-from bmwtower.scalars import SYMBOLIC
+from bmwtower import spectrum as spec
+from bmwtower.scalars import SYMBOLIC, GenericSpecialization
 from bmwtower.spectrum import Token
 
 from conftest import RATIONAL, cached_rep, level_vertices
-from dense_oracle import dense_matrix, dense_parts
+from dense_oracle import dense_matrix, dense_parts, zhat_from_scratch
 
 Q = SYMBOLIC.q
 NU = SYMBOLIC.nu
@@ -56,6 +60,52 @@ class TestZhatSeries:
                 per_diagram.setdefault(path[-2], set()).add(coeffs)
             for diagram, variants in per_diagram.items():
                 assert len(variants) == 1, diagram
+
+
+@functools.lru_cache(maxsize=None)
+def _verified_prefixes(levels):
+    """({prefix: 2m}, the orders 2m) over every irrep at the levels: each
+    prefix s[:i-1] of a path's token string s at a position i that
+    verifying the irrep reads, with the largest order 2m of the Zhat table
+    such a verification makes (2m + 1 members in its largest Case-4
+    block), and the orders of all those tables."""
+    out, orders = {}, set()
+    for n in levels:
+        for lam in level_vertices(n):
+            paths = rb._canonical_paths(lam, n)
+            strings = [spec.content_string(p) for p in paths]
+            sizes = [b.size for i in range(1, n)
+                     for b in rb._group_blocks(paths, strings, i) if b.case.tag == "4"]
+            order = 2 * ((max(sizes, default=1) - 1) // 2)
+            orders.add(order)
+            for prefix in {s[: i - 1] for s in strings for i in range(1, n)}:
+                out[prefix] = max(order, out.get(prefix, 0))
+    return out, orders
+
+
+# the four rational points of the benchmark's reference outputs
+REFERENCE_POINTS = [GenericSpecialization(Fraction(q), Fraction(nu))
+                    for q, nu in ((2, 5), (-2, 5), (2, -5), (-2, -5))]
+
+
+@pytest.mark.parametrize("field, levels", [
+    *((f, range(2, 8)) for f in REFERENCE_POINTS),
+    (SYMBOLIC, range(2, 5)),
+])
+def test_table_matches_products_from_scratch(field, levels):
+    """For every prefix that verifying an irrep reads, the product formed
+    from scratch at the irrep's order 2m and a table made at each order
+    that verifications make agree on every coefficient 0..2m that both
+    hold, and so does ``zhat_series`` at order 2m."""
+    prefixes, orders = _verified_prefixes(levels)
+    tables = [cen.ZhatTable(field, order) for order in sorted(orders)]
+    assert len(tables) > 1
+    for prefix, top in prefixes.items():
+        want = zhat_from_scratch(prefix, top, field)
+        assert cen.zhat_series(prefix, top, field) == want, prefix
+        for table in tables:
+            common = min(table.order, top) + 1
+            assert table[prefix][:common] == want[:common], (prefix, table.order)
 
 
 class TestCentralScalars:

@@ -228,9 +228,26 @@ class TestUsageErrors:
          "but -a*nu = "),
         (["hamiltonian", "--lambda", "1", "--n", "3", "--xi-re", "1"],
          "xi = 1 makes the boundary term singular"),
+        (["verify", "--n", "2", "--mode", "rational", "--q", "1/0"],
+         "--q must be a rational number, got '1/0'"),
+        (["verify", "--n", "2", "--q", "1/0"],
+         "--q must be a rational number, got '1/0'"),
+        (["hamiltonian", "--lambda", "1", "--n", "3", "--nu", "x"],
+         "--nu must be a rational number, got 'x'"),
     ])
     def test_exit_2(self, argv, message, capsys):
         assert_usage_error(argv, message, capsys)
+
+    @pytest.mark.parametrize("command", [["dims", "--n", "2"],
+                                         ["verify", "--n", "2", "--mode", "rational"]])
+    def test_unwritable_out(self, command, tmp_path, capsys):
+        """The output is computed, then cannot be written: a usage error,
+        not the status of a failed check, and no traceback."""
+        target = tmp_path / "missing" / "x.json"
+        assert_usage_error(command + ["--out", str(target)],
+                           f"cannot write --out {target}: ", capsys)
+        assert_usage_error(command + ["--out", str(tmp_path)],
+                           f"cannot write --out {tmp_path}: ", capsys)
 
 
 class TestLevelZero:

@@ -199,6 +199,56 @@ def test_kappa_perturbations_reduce_like_the_oracle(mode, levels):
     assert seen == {"rank-two", "doubled", "defined"}
 
 
+def _one_member_perturbations(rep, i):
+    """(kind, perturbed rep) at position i, each bumping one entry by one:
+    on the first one-member 3a block its S or its member's y_i entry, and
+    on the first one-member Case-4 block (whose lambda_{i-1} =
+    lambda_{i+1} is the empty diagram, so K != 0) its K or its member's
+    y_i entry."""
+    one = rep.field.one
+    for tag, parts in (("3a", "sigma"), ("4", "kappa")):
+        bi = next((bi for bi, b in enumerate(rep.blocks[i])
+                   if b.size == 1 and b.case.tag == tag), None)
+        if bi is None:
+            continue
+        mats = getattr(rep, parts)
+        bumped = {(0, 0): mats[i - 1][bi].rows[0][0] + one}
+        yield f"{tag} {parts}", replace_parts(
+            rep, **{parts: set_entries(mats, i - 1, bi, bumped)})
+        (r,) = rep.blocks[i][bi].members
+        y = list(rep.y)
+        y[i - 1] = list(y[i - 1])
+        y[i - 1][r] = y[i - 1][r] + one
+        yield f"{tag} y_i", replace_parts(rep, y=y)
+
+
+@pytest.mark.parametrize("mode, levels", [("symbolic", range(2, 4)),
+                                          ("rational", range(2, 6))])
+def test_one_member_perturbations_fail_like_the_oracle(mode, levels):
+    """The scalar forms on blocks of one member give the dense oracle's
+    verdict on each identity both verifiers test, and fail the report, where
+    one entry of such a block is changed.  A symbolic irrep is perturbed in
+    the oracle field."""
+    same = ("kappa_definition", "skein", "y_recursion", "kappa_y_product")
+
+    def verdicts(report):
+        return {(c.name, c.index, c.detail): c.ok for c in report.checks
+                if c.name in same}
+
+    seen = set()
+    for n in levels:
+        for lam in level_vertices(n):
+            rep = oracle_rep(lam, n, mode)
+            for i in range(1, n):
+                for kind, bad in _one_member_perturbations(rep, i):
+                    report = rb.verify_relations(bad)
+                    assert not report.ok, (lam, n, i, kind)
+                    assert verdicts(report) == verdicts(dense_verify_relations(bad)), (
+                        lam, n, i, kind)
+                    seen.add(kind)
+    assert seen == {"3a sigma", "3a y_i", "4 kappa", "4 y_i"}
+
+
 @pytest.mark.parametrize("n", range(2, 6))
 def test_block_members_share_prefix_and_suffix(n):
     """The invariant the block checks rest on: a block at position i only
