@@ -170,7 +170,10 @@ class TestStdoutDigests:
     the blocks changes no output byte.  The last three were recorded while
     every rational matrix was still a list of Fraction entries and the JSON
     of ``rep`` was still written by json's own encoder: scaled-integer
-    matrices and the joined layout change no output byte."""
+    matrices and the joined layout change no output byte.  The five
+    ``spectra``, ``dims`` and ``graph`` entries at the end were recorded
+    while every path's content string was still formed from its diagrams
+    step by step, apart from the walk that enumerates the paths."""
 
     @pytest.mark.parametrize("argv, digest", [
         ("rep --lambda 1,1 --n 4",
@@ -207,6 +210,16 @@ class TestStdoutDigests:
          "1f5b74b2aa7de013e6af37e83b53fc876cbd073d73c9ced4f6708efbcb320a5a"),
         ("rep --lambda 3 --n 7 --mode rational --q 2 --nu -5",
          "e1d5bc4bfc49bd5dcb7bed5434ec14201d3cd153e3a2cb55590a01d1e27e0b8f"),
+        ("spectra --n 6",
+         "45cb177216c9dbb460309879cbab16e6e5a850094f9f7aa58f3a9aedfc06d484"),
+        ("spectra --n 6 --flip-content",
+         "820d74b4a179bb6060c56515bc33b9fbe62210f7f9054189afb6a8cdd47fec24"),
+        ("dims --n 7",
+         "61aca83f2aacbb82ad3188fd5803ed1d0b562594c9e9fa8f9c266d74faf50e13"),
+        ("graph --n 7",
+         "546e1652acdc695288ed84e909b46f042703f51d677f37939d5c7f339dc85a56"),
+        ("graph --n 6 --flip-content",
+         "14c3ba4ed5d7bbf68373c7d435b5680ce18bbd31448b81544349970cde3e846a"),
     ])
     def test_stdout_sha256(self, argv, digest, capsys):
         status, out = run_cli(argv.split(), capsys)
