@@ -161,11 +161,6 @@ def _power_sums(rep, max_power):
     return totals
 
 
-def power_sum(rep, p):
-    """The diagonal of the power sum Z^(p), p >= 0."""
-    return _power_sums(rep, p)[p]
-
-
 def central_scalars(rep, max_power=3):
     """Scalars by which Z = y_1...y_n and Z^(0..max_power) act; raises
     CentralityViolated if any is non-scalar.

@@ -10,8 +10,10 @@ the ``--out`` file cannot be written.
 from __future__ import annotations
 
 import argparse
+import errno
 import io
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -96,9 +98,27 @@ def _chain_params(args, s):
     return params
 
 
+def _check_out(path):
+    """ValueError unless ``path`` names a file that can be written or made
+    in a writable directory; creates and truncates nothing."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOENT
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise ValueError(f"cannot write --out {path}: {os.strerror(code)}")
+
+
 def _validate(args):
     """Raise ValueError, NonGenericPoint or SingularParameter when the
-    arguments name no level, partition, point or chain the command can use."""
+    arguments name no level, partition, point or chain the command can use,
+    or an ``--out`` file it cannot write."""
+    if args.out:
+        _check_out(args.out)
     if args.n < 0:
         raise ValueError(f"level must be >= 0, got --n {args.n}")
     _rational(args.q, "--q")  # also where the mode reads neither
@@ -122,12 +142,12 @@ def run(args):
     if args.command == "dims":
         table = comb.dims_table(args.n)
         ok = all(row["identity_holds"] for row in table)
-        return (0 if ok else 1), comb.dims_json(args.n)
+        return (0 if ok else 1), comb.dims_json(table)
 
     if args.command == "spectra":
         report = spec.bijection_report(args.n, flip=flip)
         ok = report["sets_equal"] and report["roundtrip_ok"]
-        return (0 if ok else 1), spec.spectra_json(args.n, flip=flip)
+        return (0 if ok else 1), spec.spectra_json(report)
 
     field = _field(args)
 
@@ -193,7 +213,7 @@ def main(argv=None):
     if not text.endswith("\n"):
         text += "\n"
     if args.out:
-        try:
+        try:  # checked before the run; it can still fail, say on a full disk
             with open(args.out, "w") as fh:
                 fh.write(text)
         except OSError as exc:

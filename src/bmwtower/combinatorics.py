@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
+from operator import itemgetter
 from typing import NamedTuple
 
 
@@ -69,10 +70,6 @@ def removable_boxes(lam):
     return out
 
 
-def addable_removable(lam):
-    return addable_boxes(lam), removable_boxes(lam)
-
-
 def add_box(lam, row):
     out = list(lam)
     if row == len(lam) + 1:
@@ -112,8 +109,10 @@ def step_token_key(prev, cur):
     raise ValueError(f"{prev} -> {cur} is not a single-box step")
 
 
-def path_key(path):
-    return tuple(step_token_key(path[k], path[k + 1]) for k in range(len(path) - 1))
+class Token(NamedTuple):
+    """A step key as an eigenvalue token (``spectrum``), contents signed."""
+    nu: int  # 0 or 1
+    z: int   # q-exponent: the value is nu^(2*nu) * q^(2*z)
 
 
 class OscillatingGraph(NamedTuple):
@@ -143,31 +142,38 @@ def dim(lam, n):
     lam = tuple(lam)
     if n < sum(lam) or (n - sum(lam)) % 2:
         raise NotAVertex(f"{lam} is not a level-{n} vertex")
-    if n == 0:
-        return 1
-    total = 0
-    for mu in neighbors(lam):
-        if sum(mu) <= n - 1 and (n - 1 - sum(mu)) % 2 == 0:
-            total += dim(mu, n - 1)
-    return total
+    # a neighbour of a level-n vertex is a level-(n-1) vertex once it fits
+    return 1 if n == 0 else sum(dim(mu, n - 1) for mu in neighbors(lam) if sum(mu) < n)
 
 
 @lru_cache(maxsize=None)
-def _paths_to(lam, n):
+def _paths_to(lam, n, sign):
+    """(content string, path) of every path empty -> lam of length n: one
+    ``Token`` per step, the step key with its content times ``sign``,
+    formed once per edge into lam and shared by every path through it."""
     if n < sum(lam) or (n - sum(lam)) % 2:
         raise NotAVertex(f"{lam} is not a level-{n} vertex")
     if n == 0:
-        return (((),),)
+        return (((), ((),)),)
     out = []
     for mu in neighbors(lam):
-        if sum(mu) <= n - 1 and (n - 1 - sum(mu)) % 2 == 0:
-            out.extend(p + (lam,) for p in _paths_to(mu, n - 1))
+        if sum(mu) < n:  # as in ``dim``
+            eps, z = step_token_key(mu, lam)
+            tok = Token(eps, sign * z)
+            out.extend((s + (tok,), p + (lam,)) for s, p in _paths_to(mu, n - 1, sign))
     return tuple(out)
+
+
+def basis(lam, n, flip=False):
+    """The canonical basis of the irrep (lam, n): (content string, path) of
+    every path empty -> lam of length n, sorted by string; flip negates the
+    contents."""
+    return sorted(_paths_to(tuple(lam), n, -1 if flip else 1), key=itemgetter(0))
 
 
 def enumerate_paths(lam, n):
     """All paths empty -> lam of length n, in canonical order."""
-    return sorted(_paths_to(tuple(lam), n), key=path_key)
+    return [p for _, p in basis(lam, n)]
 
 
 def double_factorial(k):
@@ -218,5 +224,6 @@ def graph_dot(g, flip=False):
     return "\n".join(lines) + "\n"
 
 
-def dims_json(n):
-    return json.dumps({"n": n, "levels": dims_table(n)}, indent=2, sort_keys=True)
+def dims_json(table):
+    """The JSON text of a ``dims_table``."""
+    return json.dumps({"n": len(table) - 1, "levels": table}, indent=2, sort_keys=True)

@@ -1,14 +1,9 @@
 """Braid test between neighbouring positions of the tower.
 
-``repbuilder`` builds every block in a braid-consistent normalization (see
-``repbuilder._partner_scale``), so no diagonal gauge has to be solved for.
-``repair_position`` keeps the test that the construction gets right: the
-braid identity between sigma_{i-1} and sigma_i, on whatever matrices it is
-given.  ``repbuilder`` gives it the two generators on one class of the
-join of their blocks at a time (``repbuilder._braid_test``), since they
-are direct sums over those classes.  ``verify_relations`` runs it as its
-``braid`` check, and ``build_rep`` runs it while building only when no
-verification follows, so each build computes the braid products once.
+``repbuilder`` builds every block in a braid-consistent normalization
+(``repbuilder._partner_scale``), so no diagonal gauge is solved for; what
+is left is the braid test, made once per class of the join of the blocks
+at two neighbouring positions (``repbuilder._braid_test``).
 """
 
 from __future__ import annotations
@@ -21,7 +16,7 @@ class GaugeRepairFailed(RuntimeError):
 def repair_position(sig_prev, sig_i, kap_i):
     """Check position i against the already-built position i-1.
 
-    Returns (sigma, kappa, None), the inputs unchanged, when
+    Returns (sig_i, kap_i, None), kap_i unread, when
     sigma_{i-1} sigma_i sigma_{i-1} = sigma_i sigma_{i-1} sigma_i, and raises
     GaugeRepairFailed otherwise.  The name and the third, always-None item
     are kept because perfbench/tracing.py wraps this function by name and

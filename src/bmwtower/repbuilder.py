@@ -1,7 +1,7 @@
 """Seminormal matrices for the tower generators, built block by block.
 
-For an irrep labeled (lambda, n) the basis is the canonical list of
-oscillating paths.  At each position i the paths split into blocks: sets
+For an irrep labeled (lambda, n) the basis is the list of oscillating
+paths sorted by content string (``comb.basis``).  At each position i the paths split into blocks: sets
 sharing everything except the level-i diagram.  A block is
 
 * Case 3a (size 1): sigma acts by +-q^{+-1}, kappa by 0;
@@ -33,19 +33,10 @@ the intertwiners (``central``) are stored and checked block by block too,
 and the chain Hamiltonian (``chains``) scatters its one dim x dim bulk
 from the blocks.
 
-Every built representation is verified against the full defining relation
-list before being returned.  Relations at one position (cubic, kappa
-definition, skein, JM recursion, kappa-moment identities) are proven on
-the blocks, after a ``block_structure`` check that the blocks partition
-the basis and that each stored block matrix has its block's size; on a
-block where kappa has rank one the cubic and the kappa moments reduce to
-scalar identities in its row and column, and on a block of one member
-every one of these relations is an identity between its entries.  The
-relations that couple two positions i and j (braid, locality,
-kappa-sigma-kappa) are proven on the classes of the join of the blocks
-at i and at j (``_Join``), small matrices scattered from the stored
-blocks, so the verifier multiplies no whole matrix; sigma^{-1} comes from
-the skein relation, not from an inversion.
+``verify_relations`` proves every defining relation exactly: those at one
+position on the blocks, and those that couple two positions on the
+classes of the join of their blocks (``_Join``), so it multiplies and
+inverts no whole matrix.  ``build_rep`` runs it unless ``verify=False``.
 """
 
 from __future__ import annotations
@@ -132,13 +123,6 @@ class Report:
         return [c for c in self.checks if not c.ok]
 
 
-def _canonical_paths(lam, n, flip=False):
-    paths = comb.enumerate_paths(lam, n)
-    if flip:
-        paths = sorted(paths, key=lambda p: spec.content_string(p, flip=True))
-    return paths
-
-
 def _group_blocks(paths, strings, i):
     """Blocks at position i of the canonical paths and their token strings."""
     groups = {}
@@ -159,8 +143,7 @@ def block_decompose(lam, n, i, flip=False):
     """Blocks of coupled paths at position i (1 <= i <= n-1)."""
     if not 1 <= i <= n - 1:
         raise ValueError(f"position {i} out of range for level {n}")
-    paths = _canonical_paths(lam, n, flip=flip)
-    strings = [spec.content_string(p, flip=flip) for p in paths]
+    strings, paths = zip(*comb.basis(lam, n, flip))
     return _group_blocks(paths, strings, i)
 
 
@@ -303,8 +286,7 @@ def build_rep(lam, n, field=SYMBOLIC, flip=False, verify=True):
     lam = tuple(lam)
     if field.name == "rational":
         require_generic(field, n)
-    paths = _canonical_paths(lam, n, flip=flip)
-    strings = [spec.content_string(p, flip=flip) for p in paths]
+    strings, paths = map(list, zip(*comb.basis(lam, n, flip)))
     y = [[field.token_value(s[j]) for s in strings] for j in range(n)]
     sigma = []
     kappa = []
@@ -476,18 +458,15 @@ def verify_relations(rep):
         classes = join(i, j)
         return all(
             (a * b).equals(b * a)
-            for a, b in zip(classes.scatter(i, rep.sigma[i - 1]),
-                            classes.scatter(j, rep.sigma[j - 1]))
+            for a, b in zip(classes.generator(i, "sigma"), classes.generator(j, "sigma"))
         )
 
-    def sandwich(i, mats, c):
-        """kappa_i X kappa_i = c kappa_i, X the direct sum of ``mats`` on
-        the blocks of position i+1 (sigma_{i+1} or its skein inverse)."""
-        classes = join(i, i + 1)
+    def sandwich(i, xs, c):
+        """kappa_i X kappa_i = c kappa_i on every class of join(i, i+1),
+        ``xs`` listing X there (sigma_{i+1} or its skein inverse)."""
         return all(
             k.is_zero or (k * x * k).equals(k.scale(c))
-            for k, x in zip(classes.scatter(i, rep.kappa[i - 1]),
-                            classes.scatter(i + 1, mats))
+            for k, x in zip(join(i, i + 1).generator(i, "kappa"), xs)
         )
 
     for i in range(1, n - 1):
@@ -508,10 +487,11 @@ def verify_relations(rep):
     on_blocks("cubic", cubic_holds, lambda s, k, a, b: not k or s == nu)
     for i in range(1, n - 1):
         timed("kappa_sigma_kappa_plus", i,
-              lambda: sandwich(i, rep.sigma[i], f.one / nu))
+              lambda: sandwich(i, join(i, i + 1).generator(i + 1, "sigma"), f.one / nu))
         # sigma_{i+1}^{-1} block by block, from the skein form (see skein)
         timed("kappa_sigma_kappa_minus", i,
-              lambda: sandwich(i, [lb.skein_inverse for lb in local[i + 1]], nu))
+              lambda: sandwich(i, join(i, i + 1).scatter(
+                  i + 1, [lb.skein_inverse for lb in local[i + 1]]), nu))
     on_blocks(
         "kappa_definition",
         lambda lb: ((-lb.s).shift(q) * lb.s.shift(qinv)).equals(lb.k.scale(nu_u)),
@@ -642,6 +622,7 @@ class _Join:
 
     def __init__(self, rep, i, j):
         self.rep, self.i = rep, i
+        self._generators = {}
         root = list(range(rep.dim))
 
         def find(r):
@@ -677,16 +658,22 @@ class _Join:
         f = self.rep.field
         return [Matrix.direct_sum(len(c), p, f) for c, p in zip(self.classes, parts)]
 
+    def generator(self, pos, name):
+        """``scatter`` of sigma or kappa (``name``) at pos, once per join."""
+        key = (pos, name)
+        if key not in self._generators:
+            self._generators[key] = self.scatter(pos, getattr(self.rep, name)[pos - 1])
+        return self._generators[key]
+
 
 def _braid_test(join):
     """sigma_i sigma_{i+1} sigma_i = sigma_{i+1} sigma_i sigma_{i+1} for the
     positions i, i+1 of ``join``: one ``gauge.repair_position`` call per
-    class, which raises ``gauge.GaugeRepairFailed`` where it fails."""
-    rep, i = join.rep, join.i
-    for triple in zip(join.scatter(i, rep.sigma[i - 1]),
-                      join.scatter(i + 1, rep.sigma[i]),
-                      join.scatter(i + 1, rep.kappa[i])):
-        gauge.repair_position(*triple)
+    class (with kappa None: it is returned unread), which raises
+    ``gauge.GaugeRepairFailed`` where it fails."""
+    i = join.i
+    for prev, cur in zip(join.generator(i, "sigma"), join.generator(i + 1, "sigma")):
+        gauge.repair_position(prev, cur, None)
 
 
 def _respects_blocks(rep, i):

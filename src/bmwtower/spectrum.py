@@ -12,16 +12,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from . import combinatorics as comb
 
 
-class Token(NamedTuple):
-    nu: int  # 0 or 1
-    z: int   # q-exponent: the value is nu^(2*nu) * q^(2*z)
-
-
+Token = comb.Token  # formed by the walk over the paths (``comb.basis``)
 ONE = Token(0, 0)
 
 
@@ -41,7 +36,10 @@ class LocalCase:
 
 
 def content_string(path, flip=False):
-    """Token string of a path; flip swaps the content sign convention."""
+    """Token string of a path; flip swaps the content sign convention.
+
+    The definition for one path; ``comb.basis`` forms the same strings for
+    all paths to a vertex at once, one token per edge."""
     sign = -1 if flip else 1
     toks = []
     for k in range(len(path) - 1):
@@ -148,75 +146,68 @@ def string_to_path(s, flip=False):
     lam = ()
     path = [lam]
     for k, tok in enumerate(s):
-        if tok.nu == 0:
-            want = sign * tok.z
-            hits = [b for b in comb.addable_boxes(lam) if b.content == want]
-            if not hits:
-                raise NotRealizable(
-                    f"no addable box of content {want} on {lam} at step {k + 1}"
-                )
-            lam = comb.add_box(lam, hits[0].row)
-        else:
-            want = -sign * tok.z
-            hits = [b for b in comb.removable_boxes(lam) if b.content == want]
-            if not hits:
-                raise NotRealizable(
-                    f"no removable box of content {want} on {lam} at step {k + 1}"
-                )
-            lam = comb.remove_box(lam, hits[0].row)
+        kind, boxes, step = (("removable", comb.removable_boxes, comb.remove_box) if tok.nu
+                             else ("addable", comb.addable_boxes, comb.add_box))
+        want = (-sign if tok.nu else sign) * tok.z
+        hits = [b for b in boxes(lam) if b.content == want]
+        if not hits:
+            raise NotRealizable(f"no {kind} box of content {want} on {lam} at step {k + 1}")
+        lam = step(lam, hits[0].row)
         path.append(lam)
     return tuple(path)
 
 
 def strings_of_level(lam, n, flip=False):
-    """Content strings of all canonical-order paths ending at (lam, n)."""
-    return [content_string(p, flip=flip) for p in comb.enumerate_paths(lam, n)]
+    """Content strings of the paths ending at (lam, n), listed in the
+    unflipped canonical order of the paths; flip negates the contents."""
+    signed = {p: s for s, p in comb.basis(lam, n, flip)}
+    return [signed[p] for p in comb.enumerate_paths(lam, n)]
 
 
 def bijection_report(n, flip=False):
     """Compare path content strings with intrinsically admissible strings.
 
     Exact set equality plus round-tripping is the correctness arbiter for
-    the admissibility rules.
+    the admissibility rules.  ``strings`` lists each level-n vertex's
+    strings as ``strings_of_level`` does.
     """
     g = comb.build_graph(n)
-    path_strings = set()
+    strings = {}
     roundtrip_ok = True
     for lam in g.levels[n]:
-        for p in comb.enumerate_paths(lam, n):
-            s = content_string(p, flip=flip)
-            path_strings.add(s)
-            if string_to_path(s, flip=flip) != p:
-                roundtrip_ok = False
+        strings[lam] = strings_of_level(lam, n, flip)
+        if any(string_to_path(s, flip=flip) != p for s, p in comb.basis(lam, n, flip)):
+            roundtrip_ok = False
+    path_strings = {s for level in strings.values() for s in level}
     # the rules are invariant under z -> -z, so no remapping under flip
     adm = set(enumerate_admissible(n))
     return {
         "n": n,
-        "num_paths": sum(comb.dim(lam, n) for lam in g.levels[n]),
+        "num_paths": sum(len(level) for level in strings.values()),
         "num_path_strings": len(path_strings),
         "num_admissible": len(adm),
         "sets_equal": path_strings == adm,
         "roundtrip_ok": roundtrip_ok,
         "only_paths": sorted(path_strings - adm),
         "only_admissible": sorted(adm - path_strings),
+        "strings": strings,
     }
 
 
-def spectra_json(n, flip=False):
-    g = comb.build_graph(n)
-    per_vertex = {}
-    for lam in g.levels[n]:
-        per_vertex[comb.format_partition(lam)] = [
-            [{"nu": t.nu, "z": t.z} for t in s] for s in strings_of_level(lam, n, flip)
-        ]
-    rep = bijection_report(n, flip=flip)
+def spectra_json(report):
+    """The JSON text of a ``bijection_report``: its strings per vertex and
+    its verdicts."""
+    per_vertex = {
+        comb.format_partition(lam): [[{"nu": t.nu, "z": t.z} for t in s] for s in level]
+        for lam, level in report["strings"].items()
+    }
     return json.dumps(
         {
-            "n": n,
+            "n": report["n"],
             "strings": per_vertex,
             "bijection": {
-                "sets_equal": rep["sets_equal"],
-                "roundtrip_ok": rep["roundtrip_ok"],
+                "sets_equal": report["sets_equal"],
+                "roundtrip_ok": report["roundtrip_ok"],
             },
         },
         indent=2,

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from bmwtower import central as cen
+from bmwtower import combinatorics as comb
 from bmwtower import repbuilder as rb
 from bmwtower import spectrum as spec
 from bmwtower.scalars import SYMBOLIC, GenericSpecialization
@@ -72,7 +73,7 @@ def _verified_prefixes(levels):
     out, orders = {}, set()
     for n in levels:
         for lam in level_vertices(n):
-            paths = rb._canonical_paths(lam, n)
+            paths = comb.enumerate_paths(lam, n)
             strings = [spec.content_string(p) for p in paths]
             sizes = [b.size for i in range(1, n)
                      for b in rb._group_blocks(paths, strings, i) if b.case.tag == "4"]

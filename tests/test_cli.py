@@ -8,6 +8,7 @@ import pytest
 from bmwtower import cli, gauge
 from bmwtower import combinatorics as comb
 from bmwtower import repbuilder as rb
+from bmwtower import spectrum as spec
 from bmwtower.scalars import SYMBOLIC, parse_scalar
 
 from conftest import RATIONAL, level_vertices
@@ -148,6 +149,29 @@ class TestOneVerificationPerIrrep:
         assert failed == {(1, 1): [{"name": "braid", "index": 2, "detail": ""}]}
 
 
+class TestOneComputationPerCommand:
+    """``spectra`` makes one bijection report and ``dims`` one table, and
+    each formats its output from that one."""
+
+    @pytest.mark.parametrize("argv, owner, name", [
+        (["spectra", "--n", "4"], spec, "bijection_report"),
+        (["spectra", "--n", "4", "--flip-content"], spec, "bijection_report"),
+        (["dims", "--n", "5"], comb, "dims_table"),
+    ])
+    def test_once(self, argv, owner, name, monkeypatch, capsys):
+        calls = []
+        real = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+        status, _ = run_cli(argv, capsys)
+        assert status == 0
+        assert len(calls) == 1
+
+
 class TestStdoutDigests:
     """The sha256 of stdout for a few commands.  The first five were
     recorded while sigma and kappa were still stored as dense matrices and
@@ -254,13 +278,33 @@ class TestUsageErrors:
     @pytest.mark.parametrize("command", [["dims", "--n", "2"],
                                          ["verify", "--n", "2", "--mode", "rational"]])
     def test_unwritable_out(self, command, tmp_path, capsys):
-        """The output is computed, then cannot be written: a usage error,
-        not the status of a failed check, and no traceback."""
+        """The output cannot be written: a usage error, not the status of a
+        failed check, and no traceback."""
         target = tmp_path / "missing" / "x.json"
         assert_usage_error(command + ["--out", str(target)],
                            f"cannot write --out {target}: ", capsys)
         assert_usage_error(command + ["--out", str(tmp_path)],
                            f"cannot write --out {tmp_path}: ", capsys)
+
+
+    def test_out_checked_before_the_run(self, tmp_path, monkeypatch, capsys):
+        """An unwritable --out exits 2 before any work is done, and the
+        check creates and truncates no file."""
+        def fail(args):
+            raise AssertionError("run() was called")
+
+        monkeypatch.setattr(cli, "run", fail)
+        for target in (tmp_path / "missing" / "x.json", tmp_path):
+            assert_usage_error(["verify", "--n", "9", "--out", str(target)],
+                               f"cannot write --out {target}: ", capsys)
+        assert not (tmp_path / "missing").exists()
+        kept, fresh = tmp_path / "kept.json", tmp_path / "fresh.json"
+        kept.write_text("kept")
+        for target in (kept, fresh):
+            argv = ["dims", "--n", "2", "--out", str(target)]
+            cli._validate(cli._build_parser().parse_args(argv))
+        assert kept.read_text() == "kept"
+        assert not fresh.exists()
 
 
 class TestLevelZero:

@@ -23,24 +23,24 @@ class TestPartitions:
 
 class TestAddableRemovable:
     def test_empty(self):
-        add, rem = comb.addable_removable(())
+        add, rem = comb.addable_boxes(()), comb.removable_boxes(())
         assert {b.content for b in add} == {0}
         assert rem == []
 
     def test_two_one(self):
-        add, rem = comb.addable_removable((2, 1))
+        add, rem = comb.addable_boxes((2, 1)), comb.removable_boxes((2, 1))
         assert {b.content for b in add} == {2, 0, -2}
         assert {b.content for b in rem} == {1, -1}
 
     def test_row_of_three(self):
-        add, rem = comb.addable_removable((3,))
+        add, rem = comb.addable_boxes((3,)), comb.removable_boxes((3,))
         assert {b.content for b in add} == {3, -1}
         assert {b.content for b in rem} == {2}
 
     @settings(max_examples=80, deadline=None)
     @given(partitions)
     def test_structure(self, lam):
-        add, rem = comb.addable_removable(lam)
+        add, rem = comb.addable_boxes(lam), comb.removable_boxes(lam)
         assert len(add) == len(rem) + 1
         add_c = [b.content for b in add]
         rem_c = [b.content for b in rem]
@@ -54,7 +54,7 @@ class TestAddableRemovable:
     @settings(max_examples=50, deadline=None)
     @given(partitions)
     def test_add_remove_inverse(self, lam):
-        add, rem = comb.addable_removable(lam)
+        add, rem = comb.addable_boxes(lam), comb.removable_boxes(lam)
         for b in add:
             assert comb.remove_box(comb.add_box(lam, b.row), b.row) == lam
 

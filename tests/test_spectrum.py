@@ -1,9 +1,13 @@
 """Eigenvalue strings: content maps, admissibility, local cases, bijection."""
 
+from fractions import Fraction
+
 import pytest
 
 from bmwtower import combinatorics as comb
+from bmwtower import repbuilder as rb
 from bmwtower import spectrum as spec
+from bmwtower.scalars import GenericSpecialization
 from bmwtower.spectrum import Token
 
 
@@ -146,3 +150,48 @@ class TestPathStringProperties:
             for t in s:
                 assert t.nu in (0, 1)
                 assert abs(t.z) <= n
+
+
+class TestWalk:
+    """``comb.basis`` forms every path's content string, one token per edge;
+    ``content_string``, the definition for one path, is its oracle."""
+
+    POINT = GenericSpecialization(Fraction(2), Fraction(5))  # generic at level 7
+
+    @pytest.mark.parametrize("flip", [False, True])
+    @pytest.mark.parametrize("n", range(8))
+    def test_strings_are_content_strings(self, n, flip):
+        for lam in comb.build_graph(n).levels[n]:
+            pairs = comb.basis(lam, n, flip)
+            assert len(pairs) == comb.dim(lam, n)
+            for s, p in pairs:
+                assert s == spec.content_string(p, flip=flip)
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_enumerate_paths_sorted_by_content_string(self, n):
+        for lam in comb.build_graph(n).levels[n]:
+            strings = [spec.content_string(p) for p in comb.enumerate_paths(lam, n)]
+            assert len(strings) == comb.dim(lam, n)
+            assert strings == sorted(set(strings))
+
+    @pytest.mark.parametrize("flip", [False, True])
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_rep_basis_sorted_by_its_strings(self, n, flip):
+        """rep and verify order the basis by the strings of the convention
+        they use, the flipped ones under flip."""
+        for lam in comb.build_graph(n).levels[n]:
+            rep = rb.build_rep(lam, n, field=self.POINT, flip=flip, verify=False)
+            strings = [spec.content_string(p, flip=flip) for p in rep.paths]
+            assert rep.strings == strings
+            assert strings == sorted(set(strings))
+            assert sorted(rep.paths) == sorted(comb.enumerate_paths(lam, n))
+
+    @pytest.mark.parametrize("flip", [False, True])
+    @pytest.mark.parametrize("n", range(8))
+    def test_spectra_lists_strings_in_unflipped_order(self, n, flip):
+        """spectra lists each path's string, flipped under flip, in the
+        unflipped canonical order of the paths."""
+        for lam in comb.build_graph(n).levels[n]:
+            assert spec.strings_of_level(lam, n, flip) == [
+                spec.content_string(p, flip=flip) for p in comb.enumerate_paths(lam, n)
+            ]

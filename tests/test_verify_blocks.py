@@ -7,6 +7,7 @@ import pytest
 
 from bmwtower import central as cen
 from bmwtower import chains
+from bmwtower import combinatorics as comb
 from bmwtower import repbuilder as rb
 from bmwtower.linalg import Matrix, SingularMatrix
 from bmwtower.scalars import SYMBOLIC, GenericSpecialization
@@ -319,6 +320,27 @@ def test_no_matrix_is_inverted(monkeypatch):
     assert rb.verify_relations(rep).ok
 
 
+def test_two_position_checks_scatter_each_matrix_once(monkeypatch):
+    """On join(i, i+1) the braid and kappa_sigma_kappa_plus checks share
+    one scatter of sigma_{i+1}, the two kappa-sigma-kappa checks share one
+    of kappa_i, and no kappa is scattered for the braid test.  At level 7:
+    5 joins x (sigma_i, sigma_{i+1}, kappa_i, skein inverse) and 10
+    locality joins x 2."""
+    field = GenericSpecialization(Fraction(2), Fraction(5))
+    rep = rb.build_rep((4, 1), 7, field=field, verify=False)
+    calls = []
+    real = rb._Join.scatter
+
+    def counted(join, pos, mats):
+        calls.append((id(join), pos, tuple(map(id, mats))))
+        return real(join, pos, mats)
+
+    monkeypatch.setattr(rb._Join, "scatter", counted)
+    assert rb.verify_relations(rep).ok
+    assert len(calls) == 40
+    assert len(set(calls)) == len(calls)
+
+
 def test_checks_carry_their_seconds():
     report = cached_report((2, 1), 5, "rational")
     assert all(c.seconds >= 0 for c in report.checks)
@@ -339,7 +361,7 @@ def test_no_whole_matrix_is_assembled(field, lam, n, monkeypatch):
     is the chain Hamiltonian's bulk.  The irreps are chosen so that dim
     exceeds every block and every class of a join (at level 4 a class of
     every irrep of dim > 1 spans the whole basis)."""
-    dim = len(rb._canonical_paths(lam, n))
+    dim = comb.dim(lam, n)
     whole = []
     zero = Matrix.zero.__func__
 
