@@ -197,7 +197,11 @@ class TestStdoutDigests:
     matrices and the joined layout change no output byte.  The five
     ``spectra``, ``dims`` and ``graph`` entries at the end were recorded
     while every path's content string was still formed from its diagrams
-    step by step, apart from the walk that enumerates the paths."""
+    step by step, apart from the walk that enumerates the paths.  The two
+    after those (rational ``central --n 6`` over every irrep of its level,
+    and ``rep`` under the flipped content convention) were recorded while
+    every irrep built every block of its own and every relation was proven
+    on every block and every class."""
 
     @pytest.mark.parametrize("argv, digest", [
         ("rep --lambda 1,1 --n 4",
@@ -244,6 +248,10 @@ class TestStdoutDigests:
          "546e1652acdc695288ed84e909b46f042703f51d677f37939d5c7f339dc85a56"),
         ("graph --n 6 --flip-content",
          "14c3ba4ed5d7bbf68373c7d435b5680ce18bbd31448b81544349970cde3e846a"),
+        ("central --n 6 --mode rational --q -2 --nu 5",
+         "6513c0ee397caffd066ad917b79559944310ceee46172eacd59a1b7452367fd7"),
+        ("rep --lambda 2,1,1 --n 6 --mode rational --q 2 --nu 5 --flip-content",
+         "6a95ce05000a9b5c8c36438c025d91228b3a19db63245de9c8b6173ebed5359e"),
     ])
     def test_stdout_sha256(self, argv, digest, capsys):
         status, out = run_cli(argv.split(), capsys)
