@@ -7,7 +7,7 @@ are read off a truncated power series in the bookkeeping variable t, the
 product of one rational factor per prefix token (Nazarov, J. Algebra 182,
 1996).  A ``ZhatTable`` shares that work between prefixes: every prefix
 extends its parent by one token, so its product is the parent's times one
-factor.  ``repbuilder.verify_relations`` keeps one table for one call;
+factor.  ``repbuilder.LocalAtlas`` keeps one table for one call;
 ``zhat_series`` answers one prefix from a table of its own.
 
 The queries read the rep's storage: the central elements are diagonal and
@@ -66,13 +66,16 @@ class ZhatTable:
     all truncated at ``order``.  Coefficient p of a product truncated at
     order N does not depend on N >= p, so a table at the largest order a
     caller needs answers every lower order exactly.  A table keeps what it
-    formed for as long as it lives and no longer.
+    formed for as long as it lives and no longer.  It reads each token's
+    value from ``value`` (``repbuilder.LocalAtlas.value``), or from the
+    field where that is None.
     """
 
-    def __init__(self, field, order):
+    def __init__(self, field, order, value=None):
         if order < 0:
             raise ValueError("order must be >= 0")
         self.field, self.order = field, order
+        self._value = value or field.token_value
         mu = mu_scalar(field)
         nu_over_u = field.nu / (field.q - field.q_pow(-1))
         nu2_geometric = _geometric(field.nu_pow(2), 2, field, order)
@@ -96,7 +99,7 @@ class ZhatTable:
         if f is None:
             field, order = self.field, self.order
             one = field.one
-            y = field.token_value(tok)
+            y = self._value(tok)
             w = field.nu_pow(2) / y
             q2, qm2 = field.q_pow(2), field.q_pow(-2)
 

@@ -156,6 +156,9 @@ def run(args):
         rep = rb.build_rep(lam, args.n, field=field, flip=flip)
         return 0, rb.rep_to_json(rep)
 
+    # one atlas for the command: the irreps share their blocks and verdicts
+    atlas = rb.LocalAtlas(field, flip)
+
     if args.command == "verify":
         out = []
         status = 0
@@ -163,7 +166,7 @@ def run(args):
             # one verification per irrep: the build's own, which also makes
             # the braid test
             try:
-                rb.build_rep(lam, args.n, field=field, flip=flip)
+                rb.build_rep(lam, args.n, field=field, flip=flip, atlas=atlas)
                 failures = []
             except rb.VerificationFailed as exc:
                 failures = exc.report.failures()
@@ -185,7 +188,7 @@ def run(args):
     if args.command == "central":
         reports = []
         for lam in rb.level_vertices(args.n):
-            rep = rb.build_rep(lam, args.n, field=field, flip=flip)
+            rep = rb.build_rep(lam, args.n, field=field, flip=flip, atlas=atlas)
             reports.append(cen.central_report(rep))
         return 0, cen.central_json(reports)
 

@@ -2,8 +2,9 @@
 
 ``repbuilder`` builds every block in a braid-consistent normalization
 (``repbuilder._partner_scale``), so no diagonal gauge is solved for; what
-is left is the braid test, made once per class of the join of the blocks
-at two neighbouring positions (``repbuilder._braid_test``).
+is left is the braid test, made on the classes of the join of the blocks at two
+neighbouring positions, once per class key of the call
+(``repbuilder._braid_holds``).
 """
 
 from __future__ import annotations

@@ -1,8 +1,9 @@
 """Seminormal matrices for the tower generators, built block by block.
 
 For an irrep labeled (lambda, n) the basis is the list of oscillating
-paths sorted by content string (``comb.basis``).  At each position i the paths split into blocks: sets
-sharing everything except the level-i diagram.  A block is
+paths sorted by content string (``comb.basis``).  At each position i the
+paths split into blocks: sets sharing everything except the level-i
+diagram.  A block is
 
 * Case 3a (size 1): sigma acts by +-q^{+-1}, kappa by 0;
 * Case 3b (size 2): a Hecke-type two-block, kappa 0;
@@ -18,7 +19,7 @@ and the off-diagonal pair of each 3b block from its tokens and the
 quantum dimensions of its diagrams.  That choice is consistent across
 positions, so no gauge is solved for.  ``gauge.repair_position`` tests
 the braid identity between positions i and i+1 on each class of the join
-of their blocks (``_braid_test``): as the verifier's ``braid`` check, or
+of their blocks (``_braid_holds``): as the verifier's ``braid`` check, or
 while building when no verification follows (``build_rep(verify=False)``),
 so each build computes the braid products once.  Only the verifier's
 ``kappa_y_power`` check reads the central scalars (``central.ZhatTable``),
@@ -37,6 +38,14 @@ from the blocks.
 position on the blocks, and those that couple two positions on the
 classes of the join of their blocks (``_Join``), so it multiplies and
 inverts no whole matrix.  ``build_rep`` runs it unless ``verify=False``.
+
+One ``LocalAtlas`` per call forms each local type's S and K once (they
+depend only on lambda_{i-1}, the ordered lambda_i of the block's members
+and lambda_{i+1}) and proves each relation once per key: the identities
+of the objects stored on a block or a class, only of objects the atlas
+made and keeps alive, so no id is reused.  The same objects in the same
+places are the same matrices, none changed once stored, so each verdict
+is the one a new test would give (``verify_relations``).
 """
 
 from __future__ import annotations
@@ -123,19 +132,35 @@ class Report:
         return [c for c in self.checks if not c.ok]
 
 
-def _group_blocks(paths, strings, i):
-    """Blocks at position i of the canonical paths and their token strings."""
-    groups = {}
-    for idx, p in enumerate(paths):
-        groups.setdefault((p[:i], p[i + 1 :]), []).append(idx)
-    blocks = []
-    for (pre, post), members in groups.items():
-        pairs = tuple((strings[m][i - 1], strings[m][i]) for m in members)
-        if pre[i - 1] == post[0]:
-            case = spec.LocalCase("4")
-        else:
-            case = spec.classify_local(*pairs[0])
-        blocks.append(Block(i, tuple(members), case, pairs))
+def _group_blocks(paths, strings):
+    """Blocks at every position i = 1..n-1 of the canonical paths and their
+    token strings: at i, the paths that agree at every level but i.
+
+    Each path's prefixes p[:k] and suffixes p[k:] are numbered once, each
+    from the next shorter one, so the paths at i are grouped by the numbers
+    of p[:i] and p[i+1:], and no path is sliced."""
+    n = len(paths[0]) - 1
+    heads, tails, numbers = {}, {}, []
+    for p in paths:
+        pre, suf = [0], [0]
+        for x, z in zip(p, reversed(p)):
+            pre.append(heads.setdefault((pre[-1], x), len(heads) + 1))
+            suf.append(tails.setdefault((z, suf[-1]), len(tails) + 1))
+        numbers.append((pre, suf[::-1]))  # p[:k] and p[k:] at index k
+    blocks = {}
+    for i in range(1, n):
+        groups = {}
+        for idx, (pre, suf) in enumerate(numbers):
+            groups.setdefault((pre[i], suf[i + 1]), []).append(idx)
+        blocks[i] = []
+        for members in groups.values():
+            pairs = tuple((strings[m][i - 1], strings[m][i]) for m in members)
+            p = paths[members[0]]
+            if p[i - 1] == p[i + 1]:
+                case = spec.LocalCase("4")
+            else:
+                case = spec.classify_local(*pairs[0])
+            blocks[i].append(Block(i, tuple(members), case, pairs))
     return blocks
 
 
@@ -144,7 +169,7 @@ def block_decompose(lam, n, i, flip=False):
     if not 1 <= i <= n - 1:
         raise ValueError(f"position {i} out of range for level {n}")
     strings, paths = zip(*comb.basis(lam, n, flip))
-    return _group_blocks(paths, strings, i)
+    return _group_blocks(paths, strings)[i]
 
 
 def quantum_dimension(lam, field, flip=False):
@@ -203,10 +228,11 @@ def _swap_product(a, b, u):
     return (d * d - u * u * a * b) / (d * d)
 
 
-def _partner_scale(block, prod, weights, field):
+def _partner_scale(block, a, b, prod, weights, field):
     """sigma_12 of a 3b block: the braid-consistent normalization.
 
-    Member 1 has the pair (a, b) and member 2 the swapped pair (b, a), and
+    Member 1 has the pair (a, b) and member 2 the swapped pair (b, a), a and
+    b here the values of the tokens ``block.pairs[0]``, and
     a < b as tokens (canonical order), so member 1 adds a box first when
     the two steps are of different kinds.  With kappa in the all-ones row
     gauge, lambda = lambda_{i-1} and lambda^k the middle diagram of member
@@ -232,35 +258,34 @@ def _partner_scale(block, prod, weights, field):
         return prod * weights[0] / weights[1]
     scale = weights[0]
     if a_tok.z + b_tok.z < 0:
-        added = field.token_value(a_tok)
-        removed = field.nu_pow(2) / field.token_value(b_tok)
-        scale = scale * _swap_product(added, removed, field.q - field.q_pow(-1))
+        removed = field.nu_pow(2) / b
+        scale = scale * _swap_product(a, removed, field.q - field.q_pow(-1))
     return scale
 
 
-def sigma_block(block, kappa, weights, field):
+def sigma_block(block, kappa, weights, field, value):
     """Sigma on a single block, from the case tag and (for Case 4) kappa.
 
     ``weights`` are the members' kappa weights (see ``kappa_block``); 3a
-    blocks and 3b blocks of two added boxes do not read them.
+    blocks and 3b blocks of two added boxes do not read them.  ``value``
+    gives a token's value (``LocalAtlas.value``).
     """
     u = field.q - field.q_pow(-1)
     if block.case.tag == "3a":
         val = field.q if block.case.sign > 0 else -field.q_pow(-1)
         return Matrix([[val]], field)
     if block.case.tag == "3b":
-        a = field.token_value(block.pairs[0][0])
-        b = field.token_value(block.pairs[0][1])
+        a, b = map(value, block.pairs[0])
         d = b - a
         if not d:
             raise NonGenericBlock(f"coincident pair in 3b block at i={block.pos}")
         prod = _swap_product(a, b, u)
-        t = _partner_scale(block, prod, weights, field)
+        t = _partner_scale(block, a, b, prod, weights, field)
         return Matrix([[u * b / d, t], [prod / t, u * a / (-d)]], field)
     # Case 4: sigma_{kl} (a_k - b_l) = u (kappa_{kl} - delta_{kl}) b_l
     s = block.size
-    a_vals = [field.token_value(a) for (a, _) in block.pairs]
-    b_vals = [field.token_value(b) for (_, b) in block.pairs]
+    a_vals = [value(a) for (a, _) in block.pairs]
+    b_vals = [value(b) for (_, b) in block.pairs]
     rows = []
     for k in range(s):
         row = []
@@ -278,52 +303,143 @@ def sigma_block(block, kappa, weights, field):
     return Matrix(rows, field)
 
 
-def build_rep(lam, n, field=SYMBOLIC, flip=False, verify=True):
+class LocalAtlas:
+    """The local data of one call: token values, blocks and verdicts.
+
+    A block's S and K are functions of its local type: lambda_{i-1}, the
+    lambda_i of its members in their order, and lambda_{i+1}.  Its case,
+    its tokens and its kappa weights are all read off those diagrams, and
+    nothing else (the position i included) enters ``sigma_block`` or
+    ``kappa_block``.  An atlas of one field and content convention forms
+    each token's value once (``value``) and each local type's S and K once
+    (``block``), and holds them for as long as it lives, so the irreps
+    built with it share those objects.  It lives for one call: ``cli``
+    makes one per ``verify`` or ``central`` command, and a lone
+    ``build_rep`` or ``verify_relations`` makes its own.
+
+    It records verdicts too (``holds``): of a one-position relation per
+    block key (``block_key``), and of a two-position relation per class
+    key (``class_keys``).  A key is made of the identities of stored
+    objects, never of paths, and only of objects this atlas formed and
+    holds, so no id is reused while the atlas lives; ``verify_relations``
+    gives the argument that a recorded verdict is exact.
+    """
+
+    def __init__(self, field, flip=False):
+        self.field, self.flip = field, flip
+        self._values = {}    # token -> its value
+        self._qdims = {}     # diagram -> Delta
+        self._blocks = {}    # local type -> (S, K)
+        self._owned = set()  # ids of the values, S and K above
+        self._verdicts = {}  # (relation, key) -> verdict
+        self._zhat = None
+
+    def value(self, tok):
+        """The token's value in the field, formed once."""
+        v = self._values.get(tok)
+        if v is None:
+            v = self._values[tok] = self.field.token_value(tok)
+            self._owned.add(id(v))
+        return v
+
+    def _qdim(self, lam):
+        d = self._qdims.get(lam)
+        if d is None:
+            d = self._qdims[lam] = quantum_dimension(lam, self.field, self.flip)
+        return d
+
+    def block(self, b, paths):
+        """S and K of the block b of ``paths``, formed once per local type."""
+        i, first = b.pos, paths[b.members[0]]
+        mids = tuple(paths[m][i] for m in b.members)
+        key = (first[i - 1], mids, first[i + 1])
+        got = self._blocks.get(key)
+        if got is None:
+            f = self.field
+            w = None
+            if b.case.tag == "4" or (b.case.tag == "3b" and b.pairs[0][1].nu):
+                w = [self._qdim(mid) / self._qdim(first[i - 1]) for mid in mids]
+            if b.case.tag == "4":
+                k = kappa_block(b, w, f)
+                s = sigma_block(b, k, w, f, self.value)
+            else:
+                s = sigma_block(b, None, w, f, self.value)
+                # (q - S)(S + q^-1) = 0 by Cayley-Hamilton: S is q or -q^-1
+                # on 3a, and has trace u, determinant -1 on 3b
+                k = Matrix.zero(b.size, b.size, f)
+            got = self._blocks[key] = (s, k)
+            self._owned.update((id(s), id(k)))
+        return got
+
+    def block_key(self, lb):
+        """The identities of the S, K and y_i, y_{i+1} entries stored on a
+        ``_LocalBlock``, or None where the atlas does not own them all."""
+        key = (id(lb.s), id(lb.k), *map(id, lb.a), *map(id, lb.b))
+        return key if self._owned.issuperset(key) else None
+
+    def class_keys(self, join):
+        """Per class of a join(i, i+1): the identities of the S and K stored
+        at i and at i+1 on it, with their places in the class, or None where
+        the atlas does not own them all."""
+        rep, owned, keys = join.rep, self._owned, []
+        for c in range(len(join.classes)):
+            key = tuple(
+                tuple((id(rep.sigma[pos - 1][k]), id(rep.kappa[pos - 1][k]), *idx)
+                      for k, idx in join.parts[pos][c])
+                for pos in (join.i, join.i + 1))
+            mine = all(s in owned and k in owned for part in key for s, k, *_ in part)
+            keys.append(key if mine else None)
+        return keys
+
+    def holds(self, name, key, test):
+        """``test()``, the verdict of relation ``name`` on the block or class
+        of ``key``: made once per key, and every time where key is None."""
+        if key is None:
+            return test()
+        ok = self._verdicts.get((name, key))
+        if ok is None:
+            ok = self._verdicts[name, key] = test()
+        return ok
+
+    def zhat(self, order):
+        """The call's ``central.ZhatTable`` at ``order`` or above."""
+        if self._zhat is None or self._zhat.order < order:
+            self._zhat = cen.ZhatTable(self.field, order, self.value)
+        return self._zhat
+
+
+def _atlas_for(atlas, field, flip):
+    """``atlas``, or a new one where it is None; ValueError where it was
+    made for another field or content convention."""
+    if atlas is None:
+        return LocalAtlas(field, flip)
+    if atlas.field is not field or atlas.flip != flip:
+        raise ValueError("the atlas was made for another field or content convention")
+    return atlas
+
+
+def build_rep(lam, n, field=SYMBOLIC, flip=False, verify=True, atlas=None):
     """Assemble and verify the seminormal irrep labeled (lambda, n).
 
-    A rational field must be generic at level n (``require_generic``).
+    A rational field must be generic at level n (``require_generic``).  The
+    token values and blocks come from ``atlas``, a ``LocalAtlas`` of this
+    field and convention, or from a new one where it is None.
     """
     lam = tuple(lam)
     if field.name == "rational":
         require_generic(field, n)
+    atlas = _atlas_for(atlas, field, flip)
     strings, paths = map(list, zip(*comb.basis(lam, n, flip)))
-    y = [[field.token_value(s[j]) for s in strings] for j in range(n)]
-    sigma = []
-    kappa = []
-    blocks = {}
-
-    @lru_cache(maxsize=None)
-    def qdim(diagram):
-        return quantum_dimension(diagram, field, flip)
-
-    @lru_cache(maxsize=None)
-    def weight(before, mid):
-        return qdim(mid) / qdim(before)
-
+    y = [[atlas.value(s[j]) for s in strings] for j in range(n)]
+    blocks = _group_blocks(paths, strings)
+    sigma, kappa = [], []
     for i in range(1, n):
-        blist = _group_blocks(paths, strings, i)
-        blocks[i] = blist
-        sig = []
-        kap = []
-        for b in blist:
-            w = None
-            if b.case.tag == "4" or (b.case.tag == "3b" and b.pairs[0][1].nu):
-                w = [weight(paths[m][i - 1], paths[m][i]) for m in b.members]
-            if b.case.tag == "4":
-                kb = kappa_block(b, w, field)
-                sb = sigma_block(b, kb, w, field)
-            else:
-                sb = sigma_block(b, None, w, field)
-                # (q - S)(S + q^-1) = 0 by Cayley-Hamilton: S is q or -q^-1
-                # on 3a, and has trace u, determinant -1 on 3b
-                kb = Matrix.zero(b.size, b.size, field)
-            sig.append(sb)
-            kap.append(kb)
-        sigma.append(sig)
-        kappa.append(kap)
+        sig, kap = zip(*[atlas.block(b, paths) for b in blocks[i]])
+        sigma.append(list(sig))
+        kappa.append(list(kap))
     rep = SeminormalRep(lam, n, paths, strings, sigma, kappa, y, blocks, field, flip)
     if verify:
-        report = verify_relations(rep)
+        report = verify_relations(rep, atlas)
         if not report.ok:
             raise VerificationFailed(report)
     else:
@@ -331,11 +447,14 @@ def build_rep(lam, n, field=SYMBOLIC, flip=False, verify=True):
         # test of each position against the next guards it here when no
         # verification (whose ``braid`` check makes this test) follows
         for i in range(1, n - 1):
-            _braid_test(_Join(rep, i, i + 1))
+            join = _Join(rep, i, i + 1)
+            if not _braid_holds(join, atlas.class_keys(join), atlas):
+                raise gauge.GaugeRepairFailed(
+                    "braid relation fails between consecutive positions")
     return rep
 
 
-def verify_relations(rep):
+def verify_relations(rep, atlas=None):
     """Exact checks of every defining relation on the built matrices.
 
     Relations at one position are proven on the blocks of
@@ -402,11 +521,29 @@ def verify_relations(rep):
     whole space exactly when it holds on every class.  The join reads only
     the member lists, whose being partitions ``block_structure`` has
     proven.  On each class the operators are small matrices scattered from
-    the stored blocks (``_Join.scatter``); where kappa_i vanishes on a
+    the stored blocks (``_Join.matrix``); where kappa_i vanishes on a
     class both sides of kappa-sigma-kappa do.  ``braid`` is
-    ``gauge.repair_position`` once per class of join(i, i+1)
-    (``_braid_test``), the test that ``build_rep`` skips when this
+    ``gauge.repair_position`` on the classes of join(i, i+1)
+    (``_braid_holds``), the test that ``build_rep`` skips when this
     verification follows.
+
+    Each relation is proven once per key of ``atlas`` (``LocalAtlas``, a
+    new one where it is None, which keys nothing it did not make): a
+    one-position relation once per block key, the identities of the S, K
+    and y_i, y_{i+1} entries stored on the block (with the members'
+    prefixes for ``kappa_y_power``), and braid and the kappa-sigma-kappa
+    relations once per class key, the identities and places of the S, K
+    stored at i and i+1 on the class.  This is exact: each relation's
+    verdict on a block or a class is a function of the matrices there, and
+    the same objects in the same places are the same matrices, since no
+    stored matrix or entry is changed during a call.  An id names one
+    object while it is alive, and the atlas keys only objects it formed
+    and keeps for the whole call, so two keys are equal only where the
+    objects are.  A block or class holding an object the atlas did not
+    make, as a perturbed or copied block does, has no key and is tested
+    every time.  So every check has the name, index, detail and verdict of
+    testing every block and every class.  Locality is tested on every
+    class of its joins.
 
     Each check carries the perf_counter seconds it took.
     """
@@ -418,6 +555,7 @@ def verify_relations(rep):
     u = q - qinv
     nu2 = f.nu_pow(2)
     nu_u = nu * u
+    atlas = _atlas_for(atlas, f, rep.flip)
     report = Report()
 
     def timed(name, index, test, detail=""):
@@ -430,29 +568,28 @@ def verify_relations(rep):
     if not report.ok:
         return report
     local = {i: _LocalBlock.at(rep, i) for i in range(1, n)}
+    keyed = {i: [(lb, atlas.block_key(lb)) for lb in local[i]] for i in range(1, n)}
 
     @lru_cache(maxsize=None)
     def join(i, j):
         return _Join(rep, i, j)
 
+    @lru_cache(maxsize=None)
+    def class_keys(i):
+        return atlas.class_keys(join(i, i + 1))
+
     def on_blocks(name, test, scalar):
-        """``test`` on every block of every position; on a block of one
-        member, ``scalar`` on its entries s, k of S, K and a, b of y_i,
-        y_{i+1}, the same identity between 1 x 1 matrices."""
+        """``test`` on every block of every position, once per block key; on
+        a block of one member, ``scalar`` on its entries s, k of S, K and
+        a, b of y_i, y_{i+1}, the same identity between 1 x 1 matrices."""
         def holds(lb):
             if lb.block.size == 1:
                 return scalar(lb.s.rows[0][0], lb.k.rows[0][0], lb.a[0], lb.b[0])
             return test(lb)
 
         for i in range(1, n):
-            timed(name, i, lambda: all(holds(lb) for lb in local[i]))
-
-    def braid_holds(i):
-        try:
-            _braid_test(join(i, i + 1))
-        except gauge.GaugeRepairFailed:
-            return False
-        return True
+            timed(name, i, lambda: all(
+                atlas.holds(name, key, lambda: holds(lb)) for lb, key in keyed[i]))
 
     def commute(i, j):
         classes = join(i, j)
@@ -461,16 +598,17 @@ def verify_relations(rep):
             for a, b in zip(classes.generator(i, "sigma"), classes.generator(j, "sigma"))
         )
 
-    def sandwich(i, xs, c):
+    def sandwich(name, i, x, c):
         """kappa_i X kappa_i = c kappa_i on every class of join(i, i+1),
-        ``xs`` listing X there (sigma_{i+1} or its skein inverse)."""
-        return all(
-            k.is_zero or (k * x * k).equals(k.scale(c))
-            for k, x in zip(join(i, i + 1).generator(i, "kappa"), xs)
-        )
+        ``x(cls)`` giving X on class cls (sigma_{i+1} or its skein inverse)."""
+        def holds(cls):
+            k = join(i, i + 1).matrix(cls, i, "kappa")
+            return k.is_zero or (k * x(cls) * k).equals(k.scale(c))
+
+        return _on_classes(atlas, name, class_keys(i), holds)
 
     for i in range(1, n - 1):
-        timed("braid", i, lambda: braid_holds(i))
+        timed("braid", i, lambda: _braid_holds(join(i, i + 1), class_keys(i), atlas))
     for i in range(1, n):
         for j in range(i + 2, n):
             timed("locality", i, lambda: commute(i, j), detail=f"j={j}")
@@ -486,12 +624,14 @@ def verify_relations(rep):
 
     on_blocks("cubic", cubic_holds, lambda s, k, a, b: not k or s == nu)
     for i in range(1, n - 1):
-        timed("kappa_sigma_kappa_plus", i,
-              lambda: sandwich(i, join(i, i + 1).generator(i + 1, "sigma"), f.one / nu))
+        timed("kappa_sigma_kappa_plus", i, lambda: sandwich(
+            "kappa_sigma_kappa_plus", i,
+            lambda c: join(i, i + 1).matrix(c, i + 1, "sigma"), f.one / nu))
         # sigma_{i+1}^{-1} block by block, from the skein form (see skein)
-        timed("kappa_sigma_kappa_minus", i,
-              lambda: sandwich(i, join(i, i + 1).scatter(
-                  i + 1, [lb.skein_inverse for lb in local[i + 1]]), nu))
+        timed("kappa_sigma_kappa_minus", i, lambda: sandwich(
+            "kappa_sigma_kappa_minus", i,
+            lambda c: join(i, i + 1).matrix(
+                c, i + 1, "skein", lambda k: local[i + 1][k].skein_inverse), nu))
     on_blocks(
         "kappa_definition",
         lambda lb: ((-lb.s).shift(q) * lb.s.shift(qinv)).equals(lb.k.scale(nu_u)),
@@ -524,9 +664,9 @@ def verify_relations(rep):
         sizes = [b.size for b in rep.blocks[i] if b.case.tag == "4"]
         if sizes:
             orders[i] = 2 * ((max(sizes) - 1) // 2)
-    # one table for the call, at the largest order: Zhat^(p) does not
-    # depend on the order a series is truncated at, so long as it is >= p
-    zhat = cen.ZhatTable(f, max(orders.values(), default=0))
+    # Zhat^(p) does not depend on the order a series is truncated at, so
+    # long as it is >= p: the call's table answers every order up to its own
+    zhat = atlas.zhat(max(orders.values(), default=0))
 
     def moment_holds(lb, ypow, p):
         if lb.rank_one and len(set(lb.prefixes)) == 1:
@@ -537,20 +677,26 @@ def verify_relations(rep):
         return (lb.k * Matrix.diagonal(ypow, f) * lb.k).equals(z * lb.k)
 
     for i, order in orders.items():
-        coupled = [lb for lb in local[i] if not lb.k.is_zero]
-        ypows = [[f.one] * len(lb.a) for lb in coupled]  # Y_i^p diagonals
+        coupled, seen = [], set()  # one block per key and members' prefixes
+        for lb, key in keyed[i]:
+            key = key and (key, *lb.prefixes)
+            if not lb.k.is_zero and (key is None or key not in seen):
+                seen.add(key)
+                coupled.append((lb, key))
+        ypows = [[f.one] * len(lb.a) for lb, _ in coupled]  # Y_i^p diagonals
         for p in range(order + 1):
             timed(
                 "kappa_y_power", i,
                 lambda: all(
-                    moment_holds(lb, ypow, p)
-                    for lb, ypow in zip(coupled, ypows)
+                    atlas.holds(("kappa_y_power", p), key,
+                                lambda: moment_holds(lb, ypow, p))
+                    for (lb, key), ypow in zip(coupled, ypows)
                 ),
                 detail=f"p={p}",
             )
             ypows = [
                 [x * a for x, a in zip(ypow, lb.a)]
-                for lb, ypow in zip(coupled, ypows)
+                for (lb, _), ypow in zip(coupled, ypows)
             ]
     return report
 
@@ -622,7 +768,7 @@ class _Join:
 
     def __init__(self, rep, i, j):
         self.rep, self.i = rep, i
-        self._generators = {}
+        self._matrices = {}
         root = list(range(rep.dim))
 
         def find(r):
@@ -643,37 +789,68 @@ class _Join:
         for c, members in enumerate(self.classes):
             for k, r in enumerate(members):
                 self._place[r] = (c, k)
+        # pos -> per class: (index in rep.blocks[pos], places in the class)
+        # of each block at pos that it holds
+        self.parts = {pos: [[] for _ in self.classes] for pos in (i, j)}
+        place = self._place
+        for pos, parts in self.parts.items():
+            for k, block in enumerate(rep.blocks[pos]):
+                parts[place[block.members[0]][0]].append(
+                    (k, [place[r][1] for r in block.members]))
 
     def class_of(self, block):
         """The index of the class that holds a block at i or at j."""
         return self._place[block.members[0]][0]
 
+    def _on_class(self, c, pos, block):
+        """Class c's matrix of the block matrices ``block(k)`` of position
+        pos (i or j) on their blocks, zero elsewhere."""
+        parts = [(idx, block(k)) for k, idx in self.parts[pos][c]]
+        return Matrix.direct_sum(len(self.classes[c]), parts, self.rep.field)
+
     def scatter(self, pos, mats):
         """One matrix per class: the block matrices ``mats`` of position
         ``pos`` (i or j) on their blocks, zero elsewhere."""
-        parts = [[] for _ in self.classes]
-        for block, small in zip(self.rep.blocks[pos], mats):
-            parts[self.class_of(block)].append(
-                ([self._place[r][1] for r in block.members], small))
         f = self.rep.field
-        return [Matrix.direct_sum(len(c), p, f) for c, p in zip(self.classes, parts)]
+        return [Matrix.direct_sum(len(c), [(idx, mats[k]) for k, idx in parts], f)
+                for c, parts in zip(self.classes, self.parts[pos])]
+
+    def matrix(self, c, pos, name, block=None):
+        """Class c's matrix of sigma or kappa (``name``) at pos, or of the
+        block matrices ``block(k)`` named ``name``; formed once per join."""
+        key = (c, pos, name)
+        m = self._matrices.get(key)
+        if m is None:
+            block = block or getattr(self.rep, name)[pos - 1].__getitem__
+            m = self._matrices[key] = self._on_class(c, pos, block)
+        return m
 
     def generator(self, pos, name):
-        """``scatter`` of sigma or kappa (``name``) at pos, once per join."""
-        key = (pos, name)
-        if key not in self._generators:
-            self._generators[key] = self.scatter(pos, getattr(self.rep, name)[pos - 1])
-        return self._generators[key]
+        """``matrix`` of sigma or kappa (``name``) at pos on every class."""
+        return [self.matrix(c, pos, name) for c in range(len(self.classes))]
 
 
-def _braid_test(join):
+def _on_classes(atlas, name, keys, test):
+    """``test(c)`` on every class c of a join(i, i+1) whose class keys
+    (``LocalAtlas.class_keys``) are ``keys``: once per key in ``atlas``."""
+    return all(atlas.holds(name, key, lambda: test(c)) for c, key in enumerate(keys))
+
+
+def _braid_holds(join, keys, atlas):
     """sigma_i sigma_{i+1} sigma_i = sigma_{i+1} sigma_i sigma_{i+1} for the
-    positions i, i+1 of ``join``: one ``gauge.repair_position`` call per
-    class (with kappa None: it is returned unread), which raises
-    ``gauge.GaugeRepairFailed`` where it fails."""
+    positions i, i+1 of ``join``: one ``gauge.repair_position`` call (with
+    kappa None: it is returned unread) per class key of ``keys``."""
     i = join.i
-    for prev, cur in zip(join.generator(i, "sigma"), join.generator(i + 1, "sigma")):
-        gauge.repair_position(prev, cur, None)
+
+    def holds(c):
+        try:
+            gauge.repair_position(
+                join.matrix(c, i, "sigma"), join.matrix(c, i + 1, "sigma"), None)
+        except gauge.GaugeRepairFailed:
+            return False
+        return True
+
+    return _on_classes(atlas, "braid", keys, holds)
 
 
 def _respects_blocks(rep, i):

@@ -481,6 +481,7 @@ class GenericSpecialization:
         self.one = Fraction(1)
         self.q = self.q_value
         self.nu = self.nu_value
+        self.generic_level = -1  # the highest level require_generic passed
 
     def from_int(self, c):
         return Fraction(c)
@@ -534,11 +535,18 @@ def check_generic(s, n):
 
 
 def require_generic(s, n):
-    """The point s, checked generic at level n; NonGenericPoint otherwise."""
-    if not check_generic(s, n):
-        raise NonGenericPoint(
-            f"(q={s.q_value}, nu={s.nu_value}) is not generic at level {n}"
-        )
+    """The point s, checked generic at level n; NonGenericPoint otherwise.
+
+    Genericity at a level implies it at every lower one (the conditions of
+    ``check_generic`` at level n include those below n), so the point
+    records the highest level it has passed, a fact about its own values,
+    and is checked again only above it."""
+    if n > s.generic_level:
+        if not check_generic(s, n):
+            raise NonGenericPoint(
+                f"(q={s.q_value}, nu={s.nu_value}) is not generic at level {n}"
+            )
+        s.generic_level = n
     return s
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from bmwtower.combinatorics import build_graph
+from bmwtower.combinatorics import build_graph, enumerate_paths
 from bmwtower.linalg import Matrix
 from bmwtower.repbuilder import (
     SeminormalRep,
@@ -95,6 +95,24 @@ def set_entries(mats, index, block, entries):
 @functools.lru_cache(maxsize=None)
 def level_vertices(n):
     return tuple(build_graph(n).levels[n])
+
+
+def class_types(lams, n):
+    """The local types of the classes of join(i, i+1) over the irreps
+    (lam, n), i <= n-2: lambda_{i-1}, the (lambda_i, lambda_{i+1}) of the
+    class's paths in basis order, and lambda_{i+2}, where a class is a group
+    of paths that agree outside levels i, i+1; and the number of classes."""
+    types, classes = set(), 0
+    for lam in lams:
+        paths = enumerate_paths(lam, n)
+        for i in range(1, n - 1):
+            groups = {}
+            for p in paths:
+                groups.setdefault((p[:i], p[i + 2:]), []).append(p)
+            classes += len(groups)
+            types |= {(g[0][i - 1], tuple((p[i], p[i + 1]) for p in g), g[0][i + 2])
+                      for g in groups.values()}
+    return types, classes
 
 
 @pytest.fixture

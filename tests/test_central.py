@@ -75,8 +75,8 @@ def _verified_prefixes(levels):
         for lam in level_vertices(n):
             paths = comb.enumerate_paths(lam, n)
             strings = [spec.content_string(p) for p in paths]
-            sizes = [b.size for i in range(1, n)
-                     for b in rb._group_blocks(paths, strings, i) if b.case.tag == "4"]
+            sizes = [b.size for blocks in rb._group_blocks(paths, strings).values()
+                     for b in blocks if b.case.tag == "4"]
             order = 2 * ((max(sizes, default=1) - 1) // 2)
             orders.add(order)
             for prefix in {s[: i - 1] for s in strings for i in range(1, n)}:

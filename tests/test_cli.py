@@ -11,7 +11,7 @@ from bmwtower import repbuilder as rb
 from bmwtower import spectrum as spec
 from bmwtower.scalars import SYMBOLIC, parse_scalar
 
-from conftest import RATIONAL, level_vertices
+from conftest import RATIONAL, class_types, level_vertices
 
 
 def run_cli(argv, capsys):
@@ -101,20 +101,14 @@ class TestVerify:
         assert_usage_error(argv, "is not generic at level 2", capsys)
 
 
-def _braid_classes(lam, n):
-    """Number of (position, class) pairs of the braid test of (lam, n): at
-    each i <= n-2, the groups of paths that agree outside levels i, i+1."""
-    paths = comb.enumerate_paths(lam, n)
-    return sum(len({(p[:i], p[i + 2:]) for p in paths}) for i in range(1, n - 1))
-
-
 class TestOneVerificationPerIrrep:
     """``verify`` builds each irrep with its verification, which is also its
     only braid test, and reports a failing relation instead of raising."""
 
     def test_build_tests_braid_once(self, monkeypatch):
-        """One ``repair_position`` call per position and class of the join
-        of the blocks at i and i+1, and one braid test per build."""
+        """One ``repair_position`` call per distinct class key of join(i,
+        i+1) in a call: per local type of the classes, over every position
+        and every irrep the call builds, and one braid test per build."""
         calls = []
         real = gauge.repair_position
 
@@ -123,16 +117,28 @@ class TestOneVerificationPerIrrep:
             return real(*args)
 
         monkeypatch.setattr(gauge, "repair_position", counted)
-        per_build = _braid_classes((2, 1), 5)
-        assert per_build > 5 - 2
+        types, classes = class_types([(2, 1)], 5)
+        assert classes > len(types) > 5 - 2
         rb.build_rep((2, 1), 5, field=RATIONAL, verify=True)
-        assert len(calls) == per_build
+        assert len(calls) == len(types)
         rb.build_rep((2, 1), 5, field=RATIONAL, verify=False)
-        assert len(calls) == 2 * per_build
+        assert len(calls) == 2 * len(types)
         calls.clear()
-        argv = ["verify", "--n", "4", "--mode", "rational"]
-        cli.run(cli._build_parser().parse_args(argv))
-        assert len(calls) == sum(_braid_classes(lam, 4) for lam in level_vertices(4))
+        atlas = rb.LocalAtlas(RATIONAL)
+        rep = rb.build_rep((2, 1), 5, field=RATIONAL, verify=False, atlas=atlas)
+        assert rb.verify_relations(rep, atlas).ok
+        assert len(calls) == len(types)
+        # the three jobs of the benchmark's rational_tower workload at (2, 5)
+        point = ["--mode", "rational", "--q", "2", "--nu", "5"]
+        for argv, lams, n, want in (
+            (["verify", "--n", "5"], level_vertices(5), 5, 32),
+            (["rep", "--lambda", "1,1", "--n", "6"], [(1, 1)], 6, 20),
+            (["rep", "--lambda", "4,1", "--n", "7"], [(4, 1)], 7, 37),
+        ):
+            calls.clear()
+            cli.run(cli._build_parser().parse_args(argv + point))
+            types, classes = class_types(lams, n)
+            assert len(calls) == len(types) == want < classes, argv
 
     def test_braid_failure_is_reported(self, monkeypatch, capsys):
         """A wrong 3b scale is a diagonal gauge on its block: the local

@@ -11,6 +11,7 @@ import pytest
 from bmwtower import central, gauge, scalars
 from bmwtower import combinatorics as comb
 from bmwtower import repbuilder as rb
+from bmwtower import spectrum as spec
 from bmwtower.scalars import (
     SYMBOLIC,
     GenericSpecialization,
@@ -30,6 +31,36 @@ ONE = SYMBOLIC.one
 def mu_value():
     u = Q - SYMBOLIC.q_pow(-1)
     return ONE + (SYMBOLIC.nu_pow(-1) - NU) / u
+
+
+def _sliced_blocks(paths, strings, i):
+    """The blocks at position i by their definition: the paths grouped by
+    the slices (p[:i], p[i+1:]), in order of first appearance."""
+    groups = {}
+    for idx, p in enumerate(paths):
+        groups.setdefault((p[:i], p[i + 1:]), []).append(idx)
+    blocks = []
+    for (pre, post), members in groups.items():
+        pairs = tuple((strings[m][i - 1], strings[m][i]) for m in members)
+        if pre[i - 1] == post[0]:
+            case = spec.LocalCase("4")
+        else:
+            case = spec.classify_local(*pairs[0])
+        blocks.append(rb.Block(i, tuple(members), case, pairs))
+    return blocks
+
+
+@pytest.mark.parametrize("flip", [False, True])
+def test_blocks_match_the_slicing_definition(flip):
+    """``_group_blocks`` numbers prefixes and suffixes instead of slicing:
+    the same blocks in the same order at every position, for n <= 7."""
+    for n in range(0, 8):
+        for lam in level_vertices(n):
+            strings, paths = zip(*comb.basis(lam, n, flip))
+            got = rb._group_blocks(paths, strings)
+            assert list(got) == list(range(1, n))
+            for i in range(1, n):
+                assert got[i] == _sliced_blocks(paths, strings, i), (lam, n, i)
 
 
 class TestBlockDecompose:

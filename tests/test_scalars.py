@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from test_polygcd import _gcd_is_unit, _mul, _shifted, base_keys, outside_base
 
+from bmwtower import scalars as scalars_module
 from bmwtower.polygcd import base_terms
 from bmwtower.scalars import (
     SYMBOLIC,
@@ -22,6 +23,7 @@ from bmwtower.scalars import (
     check_generic,
     format_scalar,
     parse_scalar,
+    require_generic,
     specialize,
 )
 
@@ -312,6 +314,28 @@ class TestCheckGeneric:
     def test_negative_level_rejected(self):
         with pytest.raises(ValueError, match="level bound must be >= 0"):
             check_generic(GenericSpecialization(2, 3), -1)
+
+    def test_require_generic_checks_each_level_once(self, monkeypatch):
+        """A point records the highest level it passed: nu = 64 = q^6 is
+        generic at level 2 (checked once, and not again at or below it),
+        and is refused at level 3 on every call."""
+        levels = []
+        real = scalars_module.check_generic
+
+        def counted(s, n):
+            levels.append(n)
+            return real(s, n)
+
+        monkeypatch.setattr(scalars_module, "check_generic", counted)
+        point = GenericSpecialization(2, 64)
+        for n in (2, 2, 1, 0):
+            assert require_generic(point, n) is point
+        assert levels == [2]
+        for _ in range(2):
+            with pytest.raises(NonGenericPoint, match="not generic at level 3"):
+                require_generic(point, 3)
+        assert levels == [2, 3, 3]
+        assert require_generic(point, 2) is point and levels == [2, 3, 3]
 
     def test_matches_the_power_formula(self):
         """The running products give the verdicts of the conditions

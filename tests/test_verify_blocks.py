@@ -15,6 +15,7 @@ from bmwtower.scalars import SYMBOLIC, GenericSpecialization
 from conftest import (
     cached_rep,
     cached_report,
+    class_types,
     level_vertices,
     replace_parts,
     set_entries,
@@ -321,23 +322,33 @@ def test_no_matrix_is_inverted(monkeypatch):
 
 
 def test_two_position_checks_scatter_each_matrix_once(monkeypatch):
-    """On join(i, i+1) the braid and kappa_sigma_kappa_plus checks share
-    one scatter of sigma_{i+1}, the two kappa-sigma-kappa checks share one
-    of kappa_i, and no kappa is scattered for the braid test.  At level 7:
-    5 joins x (sigma_i, sigma_{i+1}, kappa_i, skein inverse) and 10
-    locality joins x 2."""
+    """On join(i, i+1) braid and the two kappa-sigma-kappa checks run once
+    per class key of the call, and the class of a new key gets three
+    scatters: sigma_i, sigma_{i+1} (shared by braid and
+    kappa_sigma_kappa_plus) and kappa_i (shared by both kappa-sigma-kappa
+    checks), and a fourth, the skein inverse of sigma_{i+1}, where kappa_i
+    is not zero on it (a class with a Case-4 block at i); no kappa is
+    scattered for the braid test.  Locality scatters sigma_i and sigma_j
+    on every class of its 10 joins at level 7.  No class matrix is
+    scattered twice."""
     field = GenericSpecialization(Fraction(2), Fraction(5))
-    rep = rb.build_rep((4, 1), 7, field=field, verify=False)
     calls = []
-    real = rb._Join.scatter
+    real = rb._Join._on_class
 
-    def counted(join, pos, mats):
-        calls.append((id(join), pos, tuple(map(id, mats))))
-        return real(join, pos, mats)
+    def counted(join, c, pos, block):
+        ids = tuple(id(block(k)) for k, _ in join.parts[pos][c])
+        calls.append((id(join), c, pos, ids, join.i + 1 == max(join.parts)))
+        return real(join, c, pos, block)
 
-    monkeypatch.setattr(rb._Join, "scatter", counted)
-    assert rb.verify_relations(rep).ok
-    assert len(calls) == 40
+    monkeypatch.setattr(rb._Join, "_on_class", counted)
+    rep = rb.build_rep((4, 1), 7, field=field)
+    types, _ = class_types([(4, 1)], 7)
+    coupled = [t for t in types if any(after == t[0] for _, after in t[1])]
+    assert len(types) == 37 and 0 < len(coupled) < len(types)
+    neighbours = sum(1 for call in calls if call[-1])
+    assert neighbours == 3 * len(types) + len(coupled)
+    far = sum(len(rb._Join(rep, i, j).classes) for i in range(1, 7) for j in range(i + 2, 7))
+    assert len(calls) - neighbours == 2 * far
     assert len(set(calls)) == len(calls)
 
 
