@@ -156,12 +156,10 @@ def run(args):
         rep = rb.build_rep(lam, args.n, field=field, flip=flip)
         return 0, rb.rep_to_json(rep)
 
-    # one atlas for the command: the irreps share their blocks and verdicts
-    atlas = rb.LocalAtlas(field, flip)
-
     if args.command == "verify":
         out = []
         status = 0
+        atlas = rb.LocalAtlas(field, flip)  # the irreps share blocks and verdicts
         for lam in rb.level_vertices(args.n):
             # one verification per irrep: the build's own, which also makes
             # the braid test
@@ -187,6 +185,7 @@ def run(args):
 
     if args.command == "central":
         reports = []
+        atlas = rb.LocalAtlas(field, flip)
         for lam in rb.level_vertices(args.n):
             rep = rb.build_rep(lam, args.n, field=field, flip=flip, atlas=atlas)
             reports.append(cen.central_report(rep))

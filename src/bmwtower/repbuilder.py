@@ -826,8 +826,11 @@ class _Join:
         return m
 
     def generator(self, pos, name):
-        """``matrix`` of sigma or kappa (``name``) at pos on every class."""
-        return [self.matrix(c, pos, name) for c in range(len(self.classes))]
+        """``scatter`` of sigma or kappa (``name``) at pos, once per join."""
+        key = (pos, name)
+        if key not in self._matrices:
+            self._matrices[key] = self.scatter(pos, getattr(self.rep, name)[pos - 1])
+        return self._matrices[key]
 
 
 def _on_classes(atlas, name, keys, test):

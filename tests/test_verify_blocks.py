@@ -329,27 +329,29 @@ def test_two_position_checks_scatter_each_matrix_once(monkeypatch):
     checks), and a fourth, the skein inverse of sigma_{i+1}, where kappa_i
     is not zero on it (a class with a Case-4 block at i); no kappa is
     scattered for the braid test.  Locality scatters sigma_i and sigma_j
-    on every class of its 10 joins at level 7.  No class matrix is
-    scattered twice."""
+    onto all classes of each of its 10 joins at level 7 at once.  No
+    matrix is scattered twice."""
     field = GenericSpecialization(Fraction(2), Fraction(5))
-    calls = []
-    real = rb._Join._on_class
+    classes, joins = [], []
+    on_class, scatter = rb._Join._on_class, rb._Join.scatter
 
-    def counted(join, c, pos, block):
-        ids = tuple(id(block(k)) for k, _ in join.parts[pos][c])
-        calls.append((id(join), c, pos, ids, join.i + 1 == max(join.parts)))
-        return real(join, c, pos, block)
+    def counted_class(join, c, pos, block):
+        classes.append((id(join), c, pos, tuple(id(block(k)) for k, _ in join.parts[pos][c])))
+        return on_class(join, c, pos, block)
 
-    monkeypatch.setattr(rb._Join, "_on_class", counted)
-    rep = rb.build_rep((4, 1), 7, field=field)
+    def counted_join(join, pos, mats):
+        joins.append((id(join), pos, tuple(map(id, mats))))
+        return scatter(join, pos, mats)
+
+    monkeypatch.setattr(rb._Join, "_on_class", counted_class)
+    monkeypatch.setattr(rb._Join, "scatter", counted_join)
+    rb.build_rep((4, 1), 7, field=field)
     types, _ = class_types([(4, 1)], 7)
     coupled = [t for t in types if any(after == t[0] for _, after in t[1])]
     assert len(types) == 37 and 0 < len(coupled) < len(types)
-    neighbours = sum(1 for call in calls if call[-1])
-    assert neighbours == 3 * len(types) + len(coupled)
-    far = sum(len(rb._Join(rep, i, j).classes) for i in range(1, 7) for j in range(i + 2, 7))
-    assert len(calls) - neighbours == 2 * far
-    assert len(set(calls)) == len(calls)
+    assert len(classes) == 3 * len(types) + len(coupled)
+    assert len(joins) == 20
+    assert len(set(classes)) == len(classes) and len(set(joins)) == len(joins)
 
 
 def test_checks_carry_their_seconds():
