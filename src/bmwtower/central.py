@@ -226,8 +226,8 @@ def intertwiner_checks(rep, k):
     U_k and U_{k+1} are direct sums over the classes of the join of the
     blocks at k-1 and k, so the braid identity holds exactly when it holds
     on every class (the argument of ``repbuilder.verify_relations``).  On a
-    class where U_{k+1} vanishes both sides do, so U_k is built only on
-    the blocks at k-1 that lie in the other classes.
+    class where U_{k+1} vanishes both sides do, so U_k and U_{k+1} are
+    formed (``repbuilder._Join.form``) only on the other classes.
     """
     from .repbuilder import _Join, _LocalBlock
 
@@ -271,19 +271,16 @@ def intertwiner_checks(rep, k):
                    all(product_identity(lb, ub) for lb, ub in zip(local, blocks))))
     if k >= 2:
         join = _Join(rep, k - 1, k)
+        prev = _LocalBlock.at(rep, k - 1)
         live = {join.class_of(lb.block) for lb, ub in zip(local, blocks)
                 if not ub.is_zero}
-        before = [
-            _block_intertwiner(lb, nu2) if join.class_of(lb.block) in live
-            else Matrix.zero(lb.block.size, lb.block.size, f)
-            for lb in _LocalBlock.at(rep, k - 1)
-        ]
-        checks.append(("U_braid", k, all(
-            (u * up * u).equals(up * u * up)
-            for c, (u, up) in enumerate(zip(join.scatter(k, blocks),
-                                            join.scatter(k - 1, before)))
-            if c in live
-        )))
+
+        def braid(c):
+            u = join.form(c, k, blocks.__getitem__)
+            up = join.form(c, k - 1, lambda m: _block_intertwiner(prev[m], nu2))
+            return (u * up * u).equals(up * u * up)
+
+        checks.append(("U_braid", k, all(braid(c) for c in live)))
     checks.append(("kappa_U_zero", k, all(
         lb.block.size == 1 or ((lb.k * ub).is_zero and (ub * lb.k).is_zero)
         for lb, ub in zip(local, blocks)

@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dfield
-from functools import cached_property, lru_cache
+from functools import cached_property
 from time import perf_counter
 
 from . import central as cen
@@ -62,10 +62,6 @@ from . import spectrum as spec
 # solve is not called; perfbench/tracing.py patches repbuilder.solve by name
 from .linalg import Matrix, solve  # noqa: F401
 from .scalars import SYMBOLIC, format_scalar, require_generic
-
-
-class NonGenericBlock(ArithmeticError):
-    pass
 
 
 class VerificationFailed(RuntimeError):
@@ -269,6 +265,12 @@ def sigma_block(block, kappa, weights, field, value):
     ``weights`` are the members' kappa weights (see ``kappa_block``); 3a
     blocks and 3b blocks of two added boxes do not read them.  ``value``
     gives a token's value (``LocalAtlas.value``).
+
+    No divisor a - b vanishes: a 3b pair's tokens differ (else
+    ``spec.classify_local`` raises); in Case 4, a_k = b_l as tokens would
+    give an addable and a removable corner of lambda_{i-1} one content;
+    and distinct tokens with |z| <= n have distinct values at a symbolic
+    or ``check_generic`` point.  Were one zero, the division would raise.
     """
     u = field.q - field.q_pow(-1)
     if block.case.tag == "3a":
@@ -277,8 +279,6 @@ def sigma_block(block, kappa, weights, field, value):
     if block.case.tag == "3b":
         a, b = map(value, block.pairs[0])
         d = b - a
-        if not d:
-            raise NonGenericBlock(f"coincident pair in 3b block at i={block.pos}")
         prod = _swap_product(a, b, u)
         t = _partner_scale(block, a, b, prod, weights, field)
         return Matrix([[u * b / d, t], [prod / t, u * a / (-d)]], field)
@@ -291,10 +291,6 @@ def sigma_block(block, kappa, weights, field, value):
         row = []
         for l in range(s):
             d = a_vals[k] - b_vals[l]
-            if not d:
-                raise NonGenericBlock(
-                    f"eigenvalue collision a_k = b_l in block at i={block.pos}"
-                )
             kap = kappa.rows[k][l]
             if k == l:
                 kap = kap - field.one
@@ -520,9 +516,11 @@ def verify_relations(rep, atlas=None):
     is the direct sum of the class products, so each relation holds on the
     whole space exactly when it holds on every class.  The join reads only
     the member lists, whose being partitions ``block_structure`` has
-    proven.  On each class the operators are small matrices scattered from
-    the stored blocks (``_Join.matrix``); where kappa_i vanishes on a
-    class both sides of kappa-sigma-kappa do.  ``braid`` is
+    proven.  On each class the operators are small matrices formed from
+    the stored blocks by ``_Join.form``, once per join(i, i+1) for braid
+    and kappa-sigma-kappa (``_Join.matrix``), and uncached for locality,
+    which reads each join(i, j) once.  Where kappa_i vanishes on a class
+    both sides of kappa-sigma-kappa do.  ``braid`` is
     ``gauge.repair_position`` on the classes of join(i, i+1)
     (``_braid_holds``), the test that ``build_rep`` skips when this
     verification follows.
@@ -531,7 +529,8 @@ def verify_relations(rep, atlas=None):
     new one where it is None, which keys nothing it did not make): a
     one-position relation once per block key, the identities of the S, K
     and y_i, y_{i+1} entries stored on the block (with the members'
-    prefixes for ``kappa_y_power``), and braid and the kappa-sigma-kappa
+    prefixes and the power p for ``kappa_y_power``, whose test forms the
+    y_i^p entries it reads), and braid and the kappa-sigma-kappa
     relations once per class key, the identities and places of the S, K
     stored at i and i+1 on the class.  This is exact: each relation's
     verdict on a block or a class is a function of the matrices there, and
@@ -569,14 +568,8 @@ def verify_relations(rep, atlas=None):
         return report
     local = {i: _LocalBlock.at(rep, i) for i in range(1, n)}
     keyed = {i: [(lb, atlas.block_key(lb)) for lb in local[i]] for i in range(1, n)}
-
-    @lru_cache(maxsize=None)
-    def join(i, j):
-        return _Join(rep, i, j)
-
-    @lru_cache(maxsize=None)
-    def class_keys(i):
-        return atlas.class_keys(join(i, i + 1))
+    joins = {i: _Join(rep, i, i + 1) for i in range(1, n - 1)}
+    class_keys = {i: atlas.class_keys(joins[i]) for i in joins}
 
     def on_blocks(name, test, scalar):
         """``test`` on every block of every position, once per block key; on
@@ -592,23 +585,26 @@ def verify_relations(rep, atlas=None):
                 atlas.holds(name, key, lambda: holds(lb)) for lb, key in keyed[i]))
 
     def commute(i, j):
-        classes = join(i, j)
-        return all(
-            (a * b).equals(b * a)
-            for a, b in zip(classes.generator(i, "sigma"), classes.generator(j, "sigma"))
-        )
+        classes = _Join(rep, i, j)
+        si, sj = rep.sigma[i - 1].__getitem__, rep.sigma[j - 1].__getitem__
+
+        def holds(c):
+            a, b = classes.form(c, i, si), classes.form(c, j, sj)
+            return (a * b).equals(b * a)
+
+        return all(holds(c) for c in range(len(classes.classes)))
 
     def sandwich(name, i, x, c):
         """kappa_i X kappa_i = c kappa_i on every class of join(i, i+1),
         ``x(cls)`` giving X on class cls (sigma_{i+1} or its skein inverse)."""
         def holds(cls):
-            k = join(i, i + 1).matrix(cls, i, "kappa")
+            k = joins[i].matrix(cls, i, "kappa")
             return k.is_zero or (k * x(cls) * k).equals(k.scale(c))
 
-        return _on_classes(atlas, name, class_keys(i), holds)
+        return _on_classes(atlas, name, class_keys[i], holds)
 
     for i in range(1, n - 1):
-        timed("braid", i, lambda: _braid_holds(join(i, i + 1), class_keys(i), atlas))
+        timed("braid", i, lambda: _braid_holds(joins[i], class_keys[i], atlas))
     for i in range(1, n):
         for j in range(i + 2, n):
             timed("locality", i, lambda: commute(i, j), detail=f"j={j}")
@@ -626,11 +622,11 @@ def verify_relations(rep, atlas=None):
     for i in range(1, n - 1):
         timed("kappa_sigma_kappa_plus", i, lambda: sandwich(
             "kappa_sigma_kappa_plus", i,
-            lambda c: join(i, i + 1).matrix(c, i + 1, "sigma"), f.one / nu))
+            lambda c: joins[i].matrix(c, i + 1, "sigma"), f.one / nu))
         # sigma_{i+1}^{-1} block by block, from the skein form (see skein)
         timed("kappa_sigma_kappa_minus", i, lambda: sandwich(
             "kappa_sigma_kappa_minus", i,
-            lambda c: join(i, i + 1).matrix(
+            lambda c: joins[i].matrix(
                 c, i + 1, "skein", lambda k: local[i + 1][k].skein_inverse), nu))
     on_blocks(
         "kappa_definition",
@@ -668,7 +664,8 @@ def verify_relations(rep, atlas=None):
     # long as it is >= p: the call's table answers every order up to its own
     zhat = atlas.zhat(max(orders.values(), default=0))
 
-    def moment_holds(lb, ypow, p):
+    def moment_holds(lb, p):
+        ypow = [a ** p for a in lb.a]
         if lb.rank_one and len(set(lb.prefixes)) == 1:
             col, row, pivot = lb.rank_one
             pairing = sum((r * x * c for r, x, c in zip(row, ypow, col)), f.zero)
@@ -677,27 +674,13 @@ def verify_relations(rep, atlas=None):
         return (lb.k * Matrix.diagonal(ypow, f) * lb.k).equals(z * lb.k)
 
     for i, order in orders.items():
-        coupled, seen = [], set()  # one block per key and members' prefixes
-        for lb, key in keyed[i]:
-            key = key and (key, *lb.prefixes)
-            if not lb.k.is_zero and (key is None or key not in seen):
-                seen.add(key)
-                coupled.append((lb, key))
-        ypows = [[f.one] * len(lb.a) for lb, _ in coupled]  # Y_i^p diagonals
+        # trivially true where K = 0; keyed by the members' prefixes too
+        coupled = [(lb, key and (key, *lb.prefixes))
+                   for lb, key in keyed[i] if not lb.k.is_zero]
         for p in range(order + 1):
-            timed(
-                "kappa_y_power", i,
-                lambda: all(
-                    atlas.holds(("kappa_y_power", p), key,
-                                lambda: moment_holds(lb, ypow, p))
-                    for (lb, key), ypow in zip(coupled, ypows)
-                ),
-                detail=f"p={p}",
-            )
-            ypows = [
-                [x * a for x, a in zip(ypow, lb.a)]
-                for (lb, _), ypow in zip(coupled, ypows)
-            ]
+            timed("kappa_y_power", i, lambda: all(
+                atlas.holds(("kappa_y_power", p), key, lambda: moment_holds(lb, p))
+                for lb, key in coupled), detail=f"p={p}")
     return report
 
 
@@ -764,6 +747,7 @@ class _Join:
     sigma_i, kappa_i and sigma_j, kappa_j are direct sums over these
     classes.  Nothing here reads the paths: ``block_structure`` proves that
     both lists of blocks partition the basis, and that is all it needs.
+    Every class matrix of a join is formed by ``form``.
     """
 
     def __init__(self, rep, i, j):
@@ -802,35 +786,21 @@ class _Join:
         """The index of the class that holds a block at i or at j."""
         return self._place[block.members[0]][0]
 
-    def _on_class(self, c, pos, block):
+    def form(self, c, pos, block):
         """Class c's matrix of the block matrices ``block(k)`` of position
         pos (i or j) on their blocks, zero elsewhere."""
         parts = [(idx, block(k)) for k, idx in self.parts[pos][c]]
         return Matrix.direct_sum(len(self.classes[c]), parts, self.rep.field)
 
-    def scatter(self, pos, mats):
-        """One matrix per class: the block matrices ``mats`` of position
-        ``pos`` (i or j) on their blocks, zero elsewhere."""
-        f = self.rep.field
-        return [Matrix.direct_sum(len(c), [(idx, mats[k]) for k, idx in parts], f)
-                for c, parts in zip(self.classes, self.parts[pos])]
-
     def matrix(self, c, pos, name, block=None):
-        """Class c's matrix of sigma or kappa (``name``) at pos, or of the
-        block matrices ``block(k)`` named ``name``; formed once per join."""
+        """``form`` of sigma or kappa (``name``) at pos, or of the block
+        matrices ``block(k)`` named ``name``; formed once per join."""
         key = (c, pos, name)
         m = self._matrices.get(key)
         if m is None:
             block = block or getattr(self.rep, name)[pos - 1].__getitem__
-            m = self._matrices[key] = self._on_class(c, pos, block)
+            m = self._matrices[key] = self.form(c, pos, block)
         return m
-
-    def generator(self, pos, name):
-        """``scatter`` of sigma or kappa (``name``) at pos, once per join."""
-        key = (pos, name)
-        if key not in self._matrices:
-            self._matrices[key] = self.scatter(pos, getattr(self.rep, name)[pos - 1])
-        return self._matrices[key]
 
 
 def _on_classes(atlas, name, keys, test):

@@ -120,11 +120,9 @@ def admissible(s):
     return all(_last_position_ok(s[: i + 1]) for i in range(len(s)))
 
 
-def enumerate_admissible(n, zbound=None):
-    """All admissible strings of length n over the alphabet |z| <= zbound."""
-    if zbound is None:
-        zbound = n
-    alphabet = [Token(e, z) for e in (0, 1) for z in range(-zbound, zbound + 1)]
+def enumerate_admissible(n):
+    """All admissible strings of length n over the alphabet |z| <= n."""
+    alphabet = [Token(e, z) for e in (0, 1) for z in range(-n, n + 1)]
     out = []
 
     def extend(s):

@@ -201,6 +201,49 @@ def test_kappa_perturbations_reduce_like_the_oracle(mode, levels):
     assert seen == {"rank-two", "doubled", "defined"}
 
 
+def _last_block_bumps(rep):
+    """(i, perturbed rep) at each position i: one entry of the S of the
+    last block of rep.blocks[i] bumped by one.  ``_perturbations`` changes
+    the first block of a position, or the first of some size or case, so
+    a check that reads only the first classes of a join can pass it."""
+    f = rep.field
+    for i in range(1, rep.n):
+        last = len(rep.blocks[i]) - 1
+        size = rep.blocks[i][last].size
+        bumped = {(0, size - 1): rep.sigma[i - 1][last].rows[0][size - 1] + f.one}
+        yield i, replace_parts(rep, sigma=set_entries(rep.sigma, i - 1, last, bumped))
+
+
+@pytest.mark.parametrize("mode, levels", [("symbolic", range(3, 5)),
+                                          ("rational", range(3, 6))])
+def test_last_block_perturbations_fail_like_the_oracle(mode, levels):
+    """``braid``, ``locality`` and ``kappa_sigma_kappa_plus`` give the dense
+    oracle's verdict, check by check, where the last block of a position
+    is changed, so a two-position check that skips a class of its join is
+    caught.  ``kappa_sigma_kappa_minus`` is left out: its skein-form inverse
+    may hold where ``skein`` fails.  A symbolic irrep is perturbed in the
+    oracle field; a case where the oracle meets a singular sigma is
+    skipped."""
+    same = ("braid", "locality", "kappa_sigma_kappa_plus")
+
+    def verdicts(report):
+        return {(c.name, c.index, c.detail): c.ok for c in report.checks
+                if c.name in same}
+
+    failed = set()
+    for n in levels:
+        for lam in level_vertices(n):
+            for i, bad in _last_block_bumps(oracle_rep(lam, n, mode)):
+                try:
+                    want = verdicts(dense_verify_relations(bad))
+                except SingularMatrix:
+                    continue
+                got = verdicts(rb.verify_relations(bad))
+                assert got == want, (lam, n, i)
+                failed |= {name for (name, _, _), ok in got.items() if not ok}
+    assert {"braid", "locality"} <= failed
+
+
 def _one_member_perturbations(rep, i):
     """(kind, perturbed rep) at position i, each bumping one entry by one:
     on the first one-member 3a block its S or its member's y_i entry, and
@@ -322,36 +365,36 @@ def test_no_matrix_is_inverted(monkeypatch):
 
 
 def test_two_position_checks_scatter_each_matrix_once(monkeypatch):
-    """On join(i, i+1) braid and the two kappa-sigma-kappa checks run once
-    per class key of the call, and the class of a new key gets three
-    scatters: sigma_i, sigma_{i+1} (shared by braid and
-    kappa_sigma_kappa_plus) and kappa_i (shared by both kappa-sigma-kappa
-    checks), and a fourth, the skein inverse of sigma_{i+1}, where kappa_i
-    is not zero on it (a class with a Case-4 block at i); no kappa is
-    scattered for the braid test.  Locality scatters sigma_i and sigma_j
-    onto all classes of each of its 10 joins at level 7 at once.  No
-    matrix is scattered twice."""
+    """Every class matrix is formed by ``_Join.form``.  On join(i, i+1)
+    braid and the two kappa-sigma-kappa checks run once per class key of
+    the call, and the class of a new key gets three formations: sigma_i,
+    sigma_{i+1} (shared by braid and kappa_sigma_kappa_plus) and kappa_i
+    (shared by both kappa-sigma-kappa checks), and a fourth, the skein
+    inverse of sigma_{i+1}, where kappa_i is not zero on it (a class with a
+    Case-4 block at i); no kappa is formed for the braid test.  Locality
+    forms sigma_i and sigma_j once on every class of each of its 10 joins
+    at level 7.  No matrix is formed twice."""
     field = GenericSpecialization(Fraction(2), Fraction(5))
-    classes, joins = [], []
-    on_class, scatter = rb._Join._on_class, rb._Join.scatter
+    formed = []
+    form = rb._Join.form
 
-    def counted_class(join, c, pos, block):
-        classes.append((id(join), c, pos, tuple(id(block(k)) for k, _ in join.parts[pos][c])))
-        return on_class(join, c, pos, block)
+    def counted(join, c, pos, block):
+        # the join itself, not its id: locality's joins are dropped after use
+        formed.append((join, c, pos, tuple(id(block(k)) for k, _ in join.parts[pos][c])))
+        return form(join, c, pos, block)
 
-    def counted_join(join, pos, mats):
-        joins.append((id(join), pos, tuple(map(id, mats))))
-        return scatter(join, pos, mats)
-
-    monkeypatch.setattr(rb._Join, "_on_class", counted_class)
-    monkeypatch.setattr(rb._Join, "scatter", counted_join)
-    rb.build_rep((4, 1), 7, field=field)
+    monkeypatch.setattr(rb._Join, "form", counted)
+    rep = rb.build_rep((4, 1), 7, field=field)
     types, _ = class_types([(4, 1)], 7)
     coupled = [t for t in types if any(after == t[0] for _, after in t[1])]
-    assert len(types) == 37 and 0 < len(coupled) < len(types)
-    assert len(classes) == 3 * len(types) + len(coupled)
-    assert len(joins) == 20
-    assert len(set(classes)) == len(classes) and len(set(joins)) == len(joins)
+    assert (len(types), len(coupled)) == (37, 11)
+    far = [(i, j) for i in range(1, 7) for j in range(i + 2, 7)]
+    far_classes = sum(len(rb._Join(rep, i, j).classes) for i, j in far)
+    near = [x for x in formed if max(x[0].parts) == x[0].i + 1]
+    assert len(far) == 10 and far_classes == 377
+    assert len(near) == 3 * 37 + 11 == 122
+    assert len(formed) - len(near) == 2 * far_classes == 754
+    assert len(formed) == 876 and len(set(formed)) == len(formed)
 
 
 def test_checks_carry_their_seconds():
