@@ -77,7 +77,11 @@ def _point(args):
 
 
 def _field(args):
-    return _point(args) if args.mode == "rational" else SYMBOLIC
+    """The field the command computes in: the checked point for rational
+    mode and for ``hamiltonian``, whose chain is numeric; else SYMBOLIC."""
+    if args.mode == "rational" or args.command == "hamiltonian":
+        return _point(args)
+    return SYMBOLIC
 
 
 def _parse_lam(args):
@@ -114,7 +118,8 @@ def _check_out(path):
 
 
 def _validate(args):
-    """Raise ValueError, NonGenericPoint or SingularParameter when the
+    """The command's field (``_field``), or None for a command that reads
+    none.  Raise ValueError, NonGenericPoint or SingularParameter when the
     arguments name no level, partition, point or chain the command can use,
     or an ``--out`` file it cannot write."""
     if args.out:
@@ -123,16 +128,20 @@ def _validate(args):
         raise ValueError(f"level must be >= 0, got --n {args.n}")
     _rational(args.q, "--q")  # also where the mode reads neither
     _rational(args.nu, "--nu")
-    if args.command in ("rep", "verify", "central"):
-        _field(args)
+    field = None
+    if args.command in ("rep", "verify", "central", "hamiltonian"):
+        field = _field(args)
     if args.command in ("rep", "hamiltonian"):
         comb.dim(_parse_lam(args), args.n)  # NotAVertex unless a level-n vertex
     if args.command == "hamiltonian":
-        _chain_params(args, _point(args))
+        _chain_params(args, field)
+    return field
 
 
-def run(args):
-    """Returns (exit_status, output_text)."""
+def run(args, field=None):
+    """Returns (exit_status, output_text).  ``field`` is the one
+    ``_validate`` returned for these arguments; without it the command
+    makes (and checks) its own."""
     flip = args.flip_content
 
     if args.command == "graph":
@@ -149,7 +158,8 @@ def run(args):
         ok = report["sets_equal"] and report["roundtrip_ok"]
         return (0 if ok else 1), spec.spectra_json(report)
 
-    field = _field(args)
+    if field is None:
+        field = _field(args)
 
     if args.command == "rep":
         lam = _parse_lam(args)
@@ -193,11 +203,10 @@ def run(args):
 
     if args.command == "hamiltonian":
         lam = _parse_lam(args)
-        s = _point(args)
-        rep = rb.build_rep(lam, args.n, field=s, flip=flip)
-        h = chains.hamiltonian(rep, _chain_params(args, s))
+        rep = rb.build_rep(lam, args.n, field=field, flip=flip)
+        h = chains.hamiltonian(rep, _chain_params(args, field))
         buf = io.StringIO()
-        chains.spectrum_csv(h, s, buf)
+        chains.spectrum_csv(h, field, buf)
         return 0, buf.getvalue()
 
     raise SystemExit(f"unknown command {args.command}")
@@ -208,10 +217,10 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _validate(args)
+        field = _validate(args)
     except (ValueError, NonGenericPoint, chains.SingularParameter) as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
-    status, text = run(args)
+    status, text = run(args, field)
     if not text.endswith("\n"):
         text += "\n"
     if args.out:

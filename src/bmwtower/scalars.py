@@ -29,6 +29,27 @@ the factors that can be shared:
 - ``1/x`` and the constructor ``ScalarFraction(num, den)`` split a
   polynomial over B (``polygcd.split``); ``-x`` never reduces.
 
+A product skips each trial division whose answer is already known, and
+stays exact because each skip rests on a proof that the member f does not
+divide the numerator a of the canonical value x = a/D:
+
+- primes: every member of B is irreducible and primitive, hence prime in
+  Z[q^±1, nu^±1] (Gauss's lemma), so one failed trial division proves
+  f ∤ a, and a value's numerator is never changed in place;
+- the canonical seed: f ∤ a for every f in D, since a and D are coprime,
+  so the keys of x's own ``exps`` are known non-divisors from the start;
+- units: a one-term numerator is a unit, and no member of B divides it;
+- failed tests only: a key joins x's record (``_nondivisors``) only after
+  its trial division by a itself has failed.  Nothing else is recorded: a
+  member that divides a is not, and neither is any fact about the product,
+  the sum, or a quotient a/f, whose numerators are new values with no
+  record but their own ``exps``.
+
+A record is a fact about one immutable value, not a cache of results: it
+is dropped with the value.  The values that outlive a call, such as
+``SYMBOLIC.one``, ``.q`` and ``.nu``, are monomials and are never tried,
+so every call makes the same trial divisions.
+
 Integer content is cancelled by integer gcds; no polynomial gcd runs.
 Equality compares the canonical forms, which are unique.  The expanded
 denominator ``den``, read by the printer and ``evaluate``, is built on
@@ -180,16 +201,21 @@ class ScalarFraction:
     so the product does too.  ``exps`` dicts are shared between values and
     never changed in place.  ``ScalarFraction(num, den)`` raises
     ``OutsideBase`` when den has a factor outside the base.
+
+    ``_nondivisors`` holds keys of members proven not to divide ``num``:
+    at first ``exps`` itself (the value is canonical), then a tuple of its
+    keys and of each key whose trial division by ``num`` failed
+    (``_cancel``).
     """
 
-    __slots__ = ("num", "scale", "exps", "_den")
+    __slots__ = ("num", "scale", "exps", "_den", "_nondivisors")
 
     def __init__(self, num, den=None):
         if den is not None and den.is_zero:
             raise ZeroDivision("division by zero in Q(q, nu)")
         if den is None or num.is_zero:
             self.num, self.scale, self.exps = num, 1, {}
-            self._den = _ONE_POLY
+            self._den, self._nondivisors = _ONE_POLY, self.exps
             return
         self._den = None
         c, (zq, zn), exps = _split(den)
@@ -200,6 +226,7 @@ class ScalarFraction:
         num, exps = _cancel(num, exps, exps)
         num, scale = _cancel_content(num, abs(c))
         self.num, self.scale, self.exps = num, scale, exps
+        self._nondivisors = exps
 
     @staticmethod
     def from_int(c):
@@ -303,8 +330,8 @@ class ScalarFraction:
             return other
         # cancel each numerator against the other denominator; each pair
         # is then coprime up to a unit, and so is the product
-        a, ed = _cancel(self.num, other.exps, other.exps)
-        c, eb = _cancel(other.num, self.exps, self.exps)
+        a, ed = _cancel(self.num, other.exps, other.exps, self)
+        c, eb = _cancel(other.num, self.exps, self.exps, other)
         a, sd = _cancel_content(a, other.scale)
         c, sb = _cancel_content(c, self.scale)
         if not eb:
@@ -374,6 +401,7 @@ def _fraction(num, scale, exps, den=None):
     """A ScalarFraction from canonical parts, with no reduction."""
     out = ScalarFraction.__new__(ScalarFraction)
     out.num, out.scale, out.exps = num, scale, exps
+    out._nondivisors = exps
     if den is None and scale == 1 and not exps:
         den = _ONE_POLY
     out._den = den
@@ -401,12 +429,20 @@ def _times_base(p, key, e):
     return p
 
 
-def _cancel(num, candidates, exps):
+def _cancel(num, candidates, exps, value=None):
     """num with each base factor of ``candidates`` divided out as often as
     it divides, at most its exponent there; and ``exps`` less the factors
-    divided out.  One ``reduce_fraction`` call per trial division."""
+    divided out.  One ``reduce_fraction`` call per trial division whose
+    answer is not known: none when num is a monomial, a unit, and none by
+    a key of ``value._nondivisors`` when num is the numerator of ``value``.
+    A key whose first trial division fails is added to that record."""
+    if len(num.terms) == 1:
+        return num, exps
     out = exps
+    known = () if value is None else value._nondivisors
     for key, e in candidates.items():
+        if key in known:
+            continue
         f = base_terms(key)
         j = 0
         while j < e:
@@ -422,6 +458,8 @@ def _cancel(num, candidates, exps):
                 del out[key]
             else:
                 out[key] -= j
+        elif value is not None:
+            known = value._nondivisors = (*known, key)
     return num, out
 
 

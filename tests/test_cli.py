@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from bmwtower import cli, gauge
+from bmwtower import cli, gauge, scalars
 from bmwtower import combinatorics as comb
 from bmwtower import repbuilder as rb
 from bmwtower import spectrum as spec
@@ -157,12 +157,17 @@ class TestOneVerificationPerIrrep:
 
 class TestOneComputationPerCommand:
     """``spectra`` makes one bijection report and ``dims`` one table, and
-    each formats its output from that one."""
+    each formats its output from that one.  A command at a rational point
+    checks the point once: ``main`` hands ``run`` the point it validated."""
 
     @pytest.mark.parametrize("argv, owner, name", [
         (["spectra", "--n", "4"], spec, "bijection_report"),
         (["spectra", "--n", "4", "--flip-content"], spec, "bijection_report"),
         (["dims", "--n", "5"], comb, "dims_table"),
+        (["verify", "--n", "5", "--mode", "rational"], scalars, "check_generic"),
+        (["rep", "--lambda", "2,1", "--n", "5", "--mode", "rational"],
+         scalars, "check_generic"),
+        (["hamiltonian", "--lambda", "2,1", "--n", "5"], scalars, "check_generic"),
     ])
     def test_once(self, argv, owner, name, monkeypatch, capsys):
         calls = []
@@ -176,6 +181,7 @@ class TestOneComputationPerCommand:
         status, _ = run_cli(argv, capsys)
         assert status == 0
         assert len(calls) == 1
+
 
 
 class TestStdoutDigests:

@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from test_polygcd import _gcd_is_unit, _mul, _shifted, base_keys, outside_base
 
+from bmwtower import cli, polygcd
 from bmwtower import scalars as scalars_module
 from bmwtower.polygcd import base_terms
 from bmwtower.scalars import (
@@ -227,6 +228,91 @@ def _expanded(x):
         for _ in range(e):
             out = out * LaurentPoly(base_terms(key))
     return out
+
+
+# values whose numerators and denominators are products of base members,
+# so that trial divisions both succeed and fail
+numers_st = st.builds(_mul, nums_st, base_products)
+based_st = st.builds(
+    lambda n, d: ScalarFraction(LaurentPoly(n), LaurentPoly(d)), numers_st, dens_st
+)
+steps_st = st.lists(
+    st.tuples(st.integers(0, 30), st.integers(0, 30), st.booleans()), max_size=8
+)
+
+
+def _record_calls(monkeypatch, owner, name):
+    """Wrap owner.name; the returned list gets one entry per call, True
+    when the call returned something other than None."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counted(*args):
+        out = real(*args)
+        calls.append(out is not None)
+        return out
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestNonDivisorRecord:
+    """``ScalarFraction._nondivisors`` holds only keys of members that do
+    not divide the numerator, and ``*`` makes no trial division that the
+    record, or a monomial numerator, already answers."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(based_st, min_size=1, max_size=4), steps_st)
+    def test_record_claims_no_divisor(self, values, steps):
+        """Products and sums of the values, each step on two earlier
+        values; afterwards sympy finds that no member recorded on any value
+        divides its numerator."""
+        values = list(values)
+        for i, j, times in steps:
+            x, y = values[i % len(values)], values[j % len(values)]
+            values.append(x * y if times else x + y)
+        for x in values:
+            for key in x._nondivisors:
+                assert _gcd_is_unit(x.num.terms, base_terms(key)), (x, key)
+
+    def test_failed_division_is_tried_once(self, monkeypatch):
+        """q + 2 times 1/(q - 1) tries q - 1 on q + 2 once; later products
+        by values with q - 1 in the denominator try it no more.  A member
+        that divides is not recorded, and a monomial is never tried."""
+        x, y, w = parse_scalar("q + 2"), ONE / (Q - ONE), parse_scalar("q^2 - 1")
+        want = parse_scalar("(q + 2)/(q - 1)"), Q + ONE
+        calls = _record_calls(monkeypatch, scalars_module, "reduce_fraction")
+        assert x * y == want[0]
+        assert len(calls) == 1 and x._nondivisors == (1,)
+        for z in (y, y * y, y / NU):
+            x * z
+        Q * y
+        assert len(calls) == 1 and not Q._nondivisors
+        assert w * y == want[1]
+        assert len(calls) == 2 and 1 not in w._nondivisors
+
+    def test_counts_repeat_across_calls(self, monkeypatch):
+        """No value that outlives a call carries a record, so in one
+        process every run of a command makes the same ``reduce_fraction``
+        calls: 4,436 for ``rep --lambda 1,1,1 --n 5`` and 4,396 for
+        ``verify --n 4`` (11,841 and 11,858 before the record)."""
+        calls = _record_calls(monkeypatch, scalars_module, "reduce_fraction")
+        for argv in (["rep", "--lambda", "1,1,1", "--n", "5"], ["verify", "--n", "4"]):
+            seen = []
+            for _ in range(3):
+                calls.clear()
+                assert cli.run(cli._build_parser().parse_args(argv))[0] == 0
+                seen.append(len(calls))
+            assert seen[0] == seen[1] == seen[2], (argv, seen)
+
+    def test_verify_level_5_trial_divisions(self, monkeypatch):
+        """Symbolic ``verify --n 5`` makes 22,210 trial divisions, 12,174 of
+        which divide; before the record it made 60,716, with the same
+        12,174 dividing.  The skipped divisions were all known to fail."""
+        calls = _record_calls(monkeypatch, polygcd, "_trial_divide")
+        assert cli.run(cli._build_parser().parse_args(["verify", "--n", "5"]))[0] == 0
+        assert sum(calls) == 12174
+        assert len(calls) <= 60716 // 2
 
 
 class TestEquality:
