@@ -2,13 +2,13 @@
 
 Everything here lives after the evaluation map: the affine seed data
 collapses to the constants c -> nu^2 and zhat^(p) -> mu for every p, with
-mu = 1 + (nu^{-1} - nu)/(q - q^{-1}).  The per-prefix scalars Zhat_k^(p)
+mu = 1 + (nu^{-1} - nu)/(q - q^{-1}).  The per-diagram scalars Zhat^(p)
 are read off a truncated power series in the bookkeeping variable t, the
-product of one rational factor per prefix token (Nazarov, J. Algebra 182,
-1996).  A ``ZhatTable`` shares that work between prefixes: every prefix
-extends its parent by one token, so its product is the parent's times one
-factor.  ``repbuilder.LocalAtlas`` keeps one table for one call;
-``zhat_series`` answers one prefix from a table of its own.
+product of one rational factor per box of the diagram a prefix of tokens
+reaches (Nazarov, J. Algebra 182, 1996).  A ``ZhatTable`` shares that work
+between diagrams: every diagram is its parent's with one box more, so its
+product is the parent's times one factor.  ``repbuilder.LocalAtlas`` keeps
+one table for one call.
 
 The queries read the rep's storage: the central elements are diagonal and
 formed from the y diagonals, and each intertwiner is one matrix per block
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 
+from .combinatorics import Token
 from .linalg import Matrix
 from .scalars import TruncatedSeries, format_scalar
 
@@ -47,35 +48,42 @@ def _geometric(ratio_coeff, step, field, order):
 
 
 class ZhatTable:
-    """Scalars Zhat_k^(0..order) of prefixes of eigenvalue tokens.
+    """Scalars Zhat^(0..order) of diagrams, shared by every prefix of
+    eigenvalue tokens that reaches the diagram.
 
-    k is the prefix length.  The generating function is
+    The generating function of a prefix of token values y_1..y_k is
 
-        A(t) + B(t) * prod_r f_r(t),
+        A(t) + B(t) * prod_r f(y_r),
 
-    with A(t) = -nu/u + 1/(1 - nu^2 t^2) (``base``) and B(t) = mu/(1 - t) +
-    nu/u - 1/(1 - nu^2 t^2) (``head``), the same for every prefix, and one
-    rational factor f_r per prefix token value y_r:
+    with A(t) = -nu/u + 1/(1 - nu^2 t^2) (``base``), B(t) = mu/(1 - t) +
+    nu/u - 1/(1 - nu^2 t^2) (``head``) and
 
-        f_r = (1 - y t)^2 (q^2 - nu^2 y^{-1} t)(q^{-2} - nu^2 y^{-1} t)
-              / [(1 - nu^2 y^{-1} t)^2 (q^2 - y t)(q^{-2} - y t)].
+        f(y) = (1 - y t)^2 (q^2 - nu^2 y^{-1} t)(q^{-2} - nu^2 y^{-1} t)
+               / [(1 - nu^2 y^{-1} t)^2 (q^2 - y t)(q^{-2} - y t)].
 
-    For an empty prefix A + B = mu/(1 - t): every coefficient is mu.  The
-    table forms A and B once, each token's factor once, and each prefix's
-    product as its parent's product times the factor of its last token,
-    all truncated at ``order``.  Coefficient p of a product truncated at
-    order N does not depend on N >= p, so a table at the largest order a
-    caller needs answers every lower order exactly.  A table keeps what it
-    formed for as long as it lives and no longer.  It reads each token's
-    value from ``value`` (``repbuilder.LocalAtlas.value``), or from the
-    field where that is None.
+    Swapping y and nu^2/y swaps numerator and denominator, so f(nu^2/y) =
+    1/f(y).  Removing a box has the value nu^2/y, y the value of adding it,
+    so the product telescopes to one over the boxes of the diagram lambda
+    the prefix reaches, prod_{b in lambda} f(q^{2 c(b)}), with contents
+    c(b) negated under the flipped convention (Nazarov, J. Algebra 182,
+    1996; Beliakova-Blanchet, Math. Ann. 2001).  The empty diagram has
+    A + B = mu/(1 - t): every coefficient is mu.  The table forms A and B
+    once, each box's factor once, and each diagram's product as its
+    parent's (lambda without the last box of its last row) times that
+    box's factor, all truncated at ``order``.  Coefficient p does not
+    depend on the order N >= p of truncation, so a table at the largest
+    order a caller needs answers every lower order exactly.  A table keeps
+    what it formed for as long as it lives and no longer.  It reads each
+    token's value from ``value`` (``repbuilder.LocalAtlas.value``), or
+    from the field where that is None.
     """
 
-    def __init__(self, field, order, value=None):
+    def __init__(self, field, order, value=None, flip=False):
         if order < 0:
             raise ValueError("order must be >= 0")
         self.field, self.order = field, order
         self._value = value or field.token_value
+        self._sign = -1 if flip else 1
         mu = mu_scalar(field)
         nu_over_u = field.nu / (field.q - field.q_pow(-1))
         nu2_geometric = _geometric(field.nu_pow(2), 2, field, order)
@@ -94,7 +102,7 @@ class ZhatTable:
         self._coeffs = {}
 
     def _factor(self, tok):
-        """f_r of one token, as a series."""
+        """f of one token, as a series."""
         f = self._factors.get(tok)
         if f is None:
             field, order = self.field, self.order
@@ -112,27 +120,36 @@ class ZhatTable:
             f = self._factors[tok] = num * den.inverse()
         return f
 
-    def _product(self, prefix):
-        """prod_r f_r over the prefix: its parent's product times one factor."""
-        prod = self._products.get(prefix)
+    def _product(self, lam):
+        """prod_{b in lam} f(q^{2 c(b)}): its parent's product times the
+        factor of the last box of its last row, of content lam[-1] - len(lam)."""
+        prod = self._products.get(lam)
         if prod is None:
-            prod = self._product(prefix[:-1]) * self._factor(prefix[-1])
-            self._products[prefix] = prod
+            last = lam[-1]
+            parent = lam[:-1] + ((last - 1,) if last > 1 else ())
+            box = Token(0, self._sign * (last - len(lam)))
+            prod = self._products[lam] = self._product(parent) * self._factor(box)
         return prod
 
-    def __getitem__(self, prefix):
-        """Zhat^(0..order) of a prefix (a tuple of tokens), as a list."""
-        coeffs = self._coeffs.get(prefix)
+    def __getitem__(self, lam):
+        """Zhat^(0..order) of a diagram (a partition tuple), as a list."""
+        coeffs = self._coeffs.get(lam)
         if coeffs is None:
-            coeffs = (self.base + self.head * self._product(prefix)).coeffs
-            self._coeffs[prefix] = coeffs
+            coeffs = (self.base + self.head * self._product(lam)).coeffs
+            self._coeffs[lam] = coeffs
         return coeffs
 
 
 def zhat_series(prefix, order, field):
-    """Scalars Zhat_k^(0..order) for a prefix of eigenvalue tokens, from a
-    table of its own (``ZhatTable``)."""
-    return list(ZhatTable(field, order)[tuple(prefix)])
+    """Scalars Zhat^(0..order) of a prefix of eigenvalue tokens, from the
+    product of the prefix's own factors, one per token, with no diagram.
+    Only ``perfbench/tracing.py``, which wraps it by name, and the tests
+    call it."""
+    table = ZhatTable(field, order)
+    prod = TruncatedSeries.constant(field.one, field, order)
+    for tok in prefix:
+        prod = prod * table._factor(tok)
+    return list((table.base + table.head * prod).coeffs)
 
 
 def _scalar(entries):

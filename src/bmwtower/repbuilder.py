@@ -400,7 +400,7 @@ class LocalAtlas:
     def zhat(self, order):
         """The call's ``central.ZhatTable`` at ``order`` or above."""
         if self._zhat is None or self._zhat.order < order:
-            self._zhat = cen.ZhatTable(self.field, order, self.value)
+            self._zhat = cen.ZhatTable(self.field, order, self.value, self.flip)
         return self._zhat
 
 
@@ -474,7 +474,8 @@ def verify_relations(rep, atlas=None):
     with S^{-1} = S - u + u K: that is ``skein``, and these blocks make up
     the sigma^{-1} that ``kappa_sigma_kappa_minus`` uses, with no
     inversion (each formed once for both, ``_LocalBlock.skein_inverse``).
-    ``kappa_y_power`` reads Zhat^(p) from each member's own prefix.  It and
+    ``kappa_y_power`` reads Zhat^(p) of each member's lambda_{i-1}, the
+    diagram its prefix reaches (``central.ZhatTable``).  It and
     ``kappa_y_product`` are trivially true on a block where K = 0, and
     take no product there.
 
@@ -482,29 +483,21 @@ def verify_relations(rep, atlas=None):
     with a nonzero pivot K[a0][b0], its row r and its column c,
     K[a][b] pivot = c[a] r[b] for every entry says exactly K = c r / pivot.
     Then K Y^p K = (r Y^p c / pivot) K, and where the members share one
-    prefix Zhat^(p) is one scalar z, so, K being nonzero, ``kappa_y_power``
-    holds on the block exactly when r Y^p c = z pivot.  Given
+    lambda_{i-1} Zhat^(p) is one scalar z, so, K being nonzero,
+    ``kappa_y_power`` holds on the block exactly when r Y^p c = z pivot.  Given
     ``kappa_definition``, (S - q)(S + q^{-1}) = -nu u K, so the cubic is
     -nu u K (S - nu): it holds where K = 0, and for K = c r / pivot, c != 0,
     exactly when r S = nu r.  So ``cubic``, like ``kappa_sigma_kappa_minus``
     with ``skein``, may pass on a block where the relation it rests on
     fails, and ``report.ok`` stays exact.  A block where K has rank two or
-    more, or whose members' prefixes differ, is checked with the dense
-    block products.  Kappa is rank one on every Case-4 block by
-    construction (``kappa_block``), so a built representation takes the
-    scalar forms throughout.  The Zhat^(p) come from one
-    ``central.ZhatTable`` made for this call at the largest order 2m any
-    position needs; it forms each token's factor once and each prefix's
-    product from its parent's, and is dropped when the call returns.
-
-    On a block of one member every matrix is 1 x 1, so each one-position
-    identity but ``kappa_y_power`` is checked as the scalar identity
-    between its entries: with s, k the entries of S, K and a, b those of
-    y_i, y_{i+1} there, ``kappa_definition`` is (q - s)(s + q^{-1}) =
-    nu u k, ``skein`` is s (s - u + u k) = 1, ``y_recursion`` is s a s = b,
-    ``kappa_y_product`` is a b k = nu^2 k, and ``cubic`` (given
-    ``kappa_definition``, as above) is k = 0 or s = nu.  Most blocks of a
-    level have one member, and no matrix is formed for them.
+    more, or whose members' lambda_{i-1} differ, is checked with the dense
+    block products.  The members of a block share lambda_{i-1}, and kappa
+    is rank one on every Case-4 block by construction (``kappa_block``),
+    so a built representation takes the scalar forms throughout.  The
+    Zhat^(p) come from one ``central.ZhatTable`` made for this call at the
+    largest order 2m any position needs; it forms each box's factor once
+    and each diagram's product from its parent's, and is dropped when the
+    call returns.
 
     ``braid`` and the two kappa-sigma-kappa relations couple positions i
     and i+1, and ``locality`` couples i and j >= i+2.  Every block at i and
@@ -529,8 +522,8 @@ def verify_relations(rep, atlas=None):
     new one where it is None, which keys nothing it did not make): a
     one-position relation once per block key, the identities of the S, K
     and y_i, y_{i+1} entries stored on the block (with the members'
-    prefixes and the power p for ``kappa_y_power``, whose test forms the
-    y_i^p entries it reads), and braid and the kappa-sigma-kappa
+    lambda_{i-1} and the power p for ``kappa_y_power``, whose test forms
+    the y_i^p entries it reads), and braid and the kappa-sigma-kappa
     relations once per class key, the identities and places of the S, K
     stored at i and i+1 on the class.  This is exact: each relation's
     verdict on a block or a class is a function of the matrices there, and
@@ -571,18 +564,11 @@ def verify_relations(rep, atlas=None):
     joins = {i: _Join(rep, i, i + 1) for i in range(1, n - 1)}
     class_keys = {i: atlas.class_keys(joins[i]) for i in joins}
 
-    def on_blocks(name, test, scalar):
-        """``test`` on every block of every position, once per block key; on
-        a block of one member, ``scalar`` on its entries s, k of S, K and
-        a, b of y_i, y_{i+1}, the same identity between 1 x 1 matrices."""
-        def holds(lb):
-            if lb.block.size == 1:
-                return scalar(lb.s.rows[0][0], lb.k.rows[0][0], lb.a[0], lb.b[0])
-            return test(lb)
-
+    def on_blocks(name, test):
+        """``test`` on every block of every position, once per block key."""
         for i in range(1, n):
             timed(name, i, lambda: all(
-                atlas.holds(name, key, lambda: holds(lb)) for lb, key in keyed[i]))
+                atlas.holds(name, key, lambda: test(lb)) for lb, key in keyed[i]))
 
     def commute(i, j):
         classes = _Join(rep, i, j)
@@ -618,7 +604,7 @@ def verify_relations(rep, atlas=None):
             return (row * lb.s).equals(row.scale(nu))
         return (lb.s.shift(-q) * lb.s.shift(qinv) * lb.s.shift(-nu)).is_zero
 
-    on_blocks("cubic", cubic_holds, lambda s, k, a, b: not k or s == nu)
+    on_blocks("cubic", cubic_holds)
     for i in range(1, n - 1):
         timed("kappa_sigma_kappa_plus", i, lambda: sandwich(
             "kappa_sigma_kappa_plus", i,
@@ -628,23 +614,12 @@ def verify_relations(rep, atlas=None):
             "kappa_sigma_kappa_minus", i,
             lambda c: joins[i].matrix(
                 c, i + 1, "skein", lambda k: local[i + 1][k].skein_inverse), nu))
-    on_blocks(
-        "kappa_definition",
-        lambda lb: ((-lb.s).shift(q) * lb.s.shift(qinv)).equals(lb.k.scale(nu_u)),
-        lambda s, k, a, b: (q - s) * (s + qinv) == nu_u * k,
-    )
-    on_blocks(
-        "skein",
-        lambda lb: (lb.s * lb.skein_inverse).equals(Matrix.identity(lb.s.n, f)),
-        lambda s, k, a, b: s * (s - u + u * k) == f.one,
-    )
-    on_blocks(
-        "y_recursion",
-        lambda lb: (lb.s * Matrix.diagonal(lb.a, f) * lb.s).equals(
-            Matrix.diagonal(lb.b, f)
-        ),
-        lambda s, k, a, b: s * a * s == b,
-    )
+    on_blocks("kappa_definition", lambda lb: (
+        (-lb.s).shift(q) * lb.s.shift(qinv)).equals(lb.k.scale(nu_u)))
+    on_blocks("skein", lambda lb: (
+        lb.s * lb.skein_inverse).equals(Matrix.identity(lb.s.n, f)))
+    on_blocks("y_recursion", lambda lb: (
+        lb.s * Matrix.diagonal(lb.a, f) * lb.s).equals(Matrix.diagonal(lb.b, f)))
 
     def kills_kappa(lb):
         if lb.k.is_zero:
@@ -653,8 +628,7 @@ def verify_relations(rep, atlas=None):
         target = lb.k.scale(nu2)
         return (prod * lb.k).equals(target) and (lb.k * prod).equals(target)
 
-    on_blocks("kappa_y_product", kills_kappa,
-              lambda s, k, a, b: a * b * k == nu2 * k)
+    on_blocks("kappa_y_product", kills_kappa)
     orders = {}  # position -> 2m, m the largest (size - 1) // 2 of a Case-4 block
     for i in range(1, n):
         sizes = [b.size for b in rep.blocks[i] if b.case.tag == "4"]
@@ -664,23 +638,27 @@ def verify_relations(rep, atlas=None):
     # long as it is >= p: the call's table answers every order up to its own
     zhat = atlas.zhat(max(orders.values(), default=0))
 
-    def moment_holds(lb, p):
+    def moment_holds(lb, lams, p):
         ypow = [a ** p for a in lb.a]
-        if lb.rank_one and len(set(lb.prefixes)) == 1:
+        if lb.rank_one and len(set(lams)) == 1:
             col, row, pivot = lb.rank_one
             pairing = sum((r * x * c for r, x, c in zip(row, ypow, col)), f.zero)
-            return pairing == zhat[lb.prefixes[0]][p] * pivot
-        z = Matrix.diagonal([zhat[pre][p] for pre in lb.prefixes], f)
+            return pairing == zhat[lams[0]][p] * pivot
+        z = Matrix.diagonal([zhat[lam][p] for lam in lams], f)
         return (lb.k * Matrix.diagonal(ypow, f) * lb.k).equals(z * lb.k)
 
     for i, order in orders.items():
-        # trivially true where K = 0; keyed by the members' prefixes too
-        coupled = [(lb, key and (key, *lb.prefixes))
-                   for lb, key in keyed[i] if not lb.k.is_zero]
+        # trivially true where K = 0; keyed by the members' lambda_{i-1} too
+        coupled = []
+        for lb, key in keyed[i]:
+            if not lb.k.is_zero:
+                lams = [rep.paths[r][i - 1] for r in lb.block.members]
+                coupled.append((lb, lams, key and (key, *lams)))
         for p in range(order + 1):
             timed("kappa_y_power", i, lambda: all(
-                atlas.holds(("kappa_y_power", p), key, lambda: moment_holds(lb, p))
-                for lb, key in coupled), detail=f"p={p}")
+                atlas.holds(("kappa_y_power", p), key,
+                            lambda: moment_holds(lb, lams, p))
+                for lb, lams, key in coupled), detail=f"p={p}")
     return report
 
 
@@ -693,7 +671,6 @@ class _LocalBlock:
     k: Matrix
     a: list
     b: list
-    prefixes: list    # per member: its string before position i
 
     @classmethod
     def at(cls, rep, i):
@@ -704,7 +681,6 @@ class _LocalBlock:
                 block, s, k,
                 [a[r] for r in block.members],
                 [b[r] for r in block.members],
-                [rep.strings[r][: i - 1] for r in block.members],
             )
             for block, s, k in zip(rep.blocks[i], rep.sigma[i - 1], rep.kappa[i - 1])
         ]

@@ -64,23 +64,26 @@ class TestZhatSeries:
 
 
 @functools.lru_cache(maxsize=None)
-def _verified_prefixes(levels):
-    """({prefix: 2m}, the orders 2m) over every irrep at the levels: each
-    prefix s[:i-1] of a path's token string s at a position i that
-    verifying the irrep reads, with the largest order 2m of the Zhat table
-    such a verification makes (2m + 1 members in its largest Case-4
-    block), and the orders of all those tables."""
+def _verified_prefixes(levels, flip=False):
+    """({prefix: (lambda_{i-1}, 2m)}, the orders 2m) over every irrep at the
+    levels: each prefix s[:i-1] of a path's token string s at a position i
+    that verifying the irrep reads, with the diagram lambda_{i-1} it
+    reaches and the largest order 2m of the Zhat table such a verification
+    makes (2m + 1 members in its largest Case-4 block), and the orders of
+    all those tables."""
     out, orders = {}, set()
     for n in levels:
         for lam in level_vertices(n):
             paths = comb.enumerate_paths(lam, n)
-            strings = [spec.content_string(p) for p in paths]
+            strings = [spec.content_string(p, flip) for p in paths]
             sizes = [b.size for blocks in rb._group_blocks(paths, strings).values()
                      for b in blocks if b.case.tag == "4"]
             order = 2 * ((max(sizes, default=1) - 1) // 2)
             orders.add(order)
-            for prefix in {s[: i - 1] for s in strings for i in range(1, n)}:
-                out[prefix] = max(order, out.get(prefix, 0))
+            for path, s in zip(paths, strings):
+                for i in range(1, n):
+                    top = max(order, out.get(s[: i - 1], (None, 0))[1])
+                    out[s[: i - 1]] = (path[i - 1], top)
     return out, orders
 
 
@@ -89,24 +92,37 @@ REFERENCE_POINTS = [GenericSpecialization(Fraction(q), Fraction(nu))
                     for q, nu in ((2, 5), (-2, 5), (2, -5), (-2, -5))]
 
 
-@pytest.mark.parametrize("field, levels", [
-    *((f, range(2, 8)) for f in REFERENCE_POINTS),
-    (SYMBOLIC, range(2, 5)),
-])
-def test_table_matches_products_from_scratch(field, levels):
-    """For every prefix that verifying an irrep reads, the product formed
-    from scratch at the irrep's order 2m and a table made at each order
-    that verifications make agree on every coefficient 0..2m that both
-    hold, and so does ``zhat_series`` at order 2m."""
-    prefixes, orders = _verified_prefixes(levels)
-    tables = [cen.ZhatTable(field, order) for order in sorted(orders)]
+def _assert_table_matches(field, levels, flip=False):
+    """For every prefix that verifying an irrep at the levels reads, the
+    product of its own factors formed from scratch at the irrep's order 2m
+    and a table's entry for the diagram lambda_{i-1} it reaches, at each
+    order that verifications make, agree on every coefficient 0..2m that
+    both hold, and so does ``zhat_series`` at order 2m."""
+    prefixes, orders = _verified_prefixes(levels, flip)
+    tables = [cen.ZhatTable(field, order, flip=flip) for order in sorted(orders)]
     assert len(tables) > 1
-    for prefix, top in prefixes.items():
+    for prefix, (lam, top) in prefixes.items():
         want = zhat_from_scratch(prefix, top, field)
         assert cen.zhat_series(prefix, top, field) == want, prefix
         for table in tables:
             common = min(table.order, top) + 1
-            assert table[prefix][:common] == want[:common], (prefix, table.order)
+            assert table[lam][:common] == want[:common], (prefix, table.order)
+
+
+@pytest.mark.parametrize("field, levels", [
+    *((f, range(2, 8)) for f in REFERENCE_POINTS),
+    (SYMBOLIC, range(2, 7)),
+])
+def test_table_matches_products_from_scratch(field, levels):
+    """The product over a prefix's tokens telescopes to the product over
+    the boxes of the diagram it reaches (``_assert_table_matches``)."""
+    _assert_table_matches(field, levels)
+
+
+def test_flipped_table_matches_products_from_scratch():
+    """The same under the flipped content convention, where a table's box
+    factors read negated contents."""
+    _assert_table_matches(REFERENCE_POINTS[0], range(2, 8), flip=True)
 
 
 class TestCentralScalars:

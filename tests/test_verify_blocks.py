@@ -162,7 +162,8 @@ def test_perturbed_reps_fail_like_the_oracle(mode, levels):
                                      *(("rational", n) for n in range(2, 7))])
 def test_case_4_blocks_take_the_rank_one_path(mode, n):
     """On a built rep every Case-4 block with K != 0 passes the rank-one
-    test and its members share one prefix, so no dense fallback runs."""
+    test and its members share one lambda_{i-1}, so ``kappa_y_power``
+    takes the scalar moment form and no dense fallback runs."""
     for lam in level_vertices(n):
         rep = cached_rep(lam, n, mode)
         for i in range(1, n):
@@ -170,7 +171,8 @@ def test_case_4_blocks_take_the_rank_one_path(mode, n):
                 if lb.block.case.tag != "4" or lb.k.is_zero:
                     continue
                 assert lb.rank_one, (lam, n, i, lb.block.members)
-                assert len(set(lb.prefixes)) == 1, (lam, n, i, lb.block.members)
+                below = {rep.paths[r][i - 1] for r in lb.block.members}
+                assert len(below) == 1, (lam, n, i, lb.block.members)
 
 
 @pytest.mark.parametrize("mode, levels", [("symbolic", range(2, 4)),
@@ -270,7 +272,7 @@ def _one_member_perturbations(rep, i):
 @pytest.mark.parametrize("mode, levels", [("symbolic", range(2, 4)),
                                           ("rational", range(2, 6))])
 def test_one_member_perturbations_fail_like_the_oracle(mode, levels):
-    """The scalar forms on blocks of one member give the dense oracle's
+    """The checks on blocks of one member give the dense oracle's
     verdict on each identity both verifiers test, and fail the report, where
     one entry of such a block is changed.  A symbolic irrep is perturbed in
     the oracle field."""
