@@ -204,7 +204,14 @@ def central_scalars(rep, max_power=3):
 
 def _block_intertwiner(lb, nu2):
     """U on one block: S[r][c] (D[c] - D[r]) with D = a - nu^2/b, and the
-    exact zero [[0]] on a block of one member, where D[c] - D[r] = 0."""
+    exact zero [[0]] on a block of one member, where D[c] - D[r] = 0.
+
+    The bracket gives the same zero; the form stays because it is cheaper
+    where most blocks have one member (721 of the 1,125 at rational level
+    6): forming their brackets made ``intertwiner_checks`` over the
+    ``query_mix`` benchmark's reps about 6% slower (0.082 against 0.078 s,
+    medians of the minimum of 15 in-process passes in 8 alternating rounds,
+    slower in all 8, on 2 vCPUs with Python 3.11)."""
     if lb.block.size == 1:
         return Matrix.zero(1, 1, lb.s.field)
     return lb.s.bracket([x - nu2 / y for x, y in zip(lb.a, lb.b)])
@@ -238,7 +245,15 @@ def intertwiner_checks(rep, k):
     holds exactly when it holds on every block.  On a block of one member
     U and [sigma_k, y_k] are zero, so ``kappa_U_zero`` holds there, and the
     product identity holds exactly when its right side vanishes, that is
-    when one of its three factors does.
+    when one of its three factors does.  Both one-member forms give the
+    verdict of the block-matrix test and stay because they are cheaper,
+    like the zero of ``_block_intertwiner``.  Measured as there, the
+    products of ``kappa_U_zero`` on one-member blocks made the checks about
+    4% slower (0.080 against 0.078 s, slower in 7 of 8 rounds), the matrix
+    form of the product identity about 11% (in process time, slower in 6
+    of 8), and the block-matrix tests with the bracket on every block about
+    36% (0.106 s, slower in 8 of 8).  Blocks of more than one member take
+    the matrix tests.
 
     U_k and U_{k+1} are direct sums over the classes of the join of the
     blocks at k-1 and k, so the braid identity holds exactly when it holds

@@ -23,7 +23,9 @@ process and shared by every caller.
 - Phi_m divides P exactly when it divides every nu-row of P.  The test folds
   a row's exponents mod m (q^m = 1 mod Phi_m) and reduces mod Phi_m.  The
   candidate m have phi(m) at most the least q-span of a row; a cheap
-  necessary test, Phi_m(2) | row(2), runs first.
+  necessary test, Phi_m(2) | row(2), runs first.  Both phi(m), the degree,
+  and Phi_m(2) are read from Phi_m's one coefficient list, formed once per
+  m per process.
 
 What is left after every member of B is divided out is the residual.
 
@@ -38,24 +40,11 @@ is reduced.  Nothing here computes a polynomial gcd.
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import lru_cache, reduce
 from math import gcd
 
 
 # --- the base -----------------------------------------------------------------
-
-
-def _totient(m):
-    out, r, p = m, m, 2
-    while p * p <= r:
-        if r % p == 0:
-            out -= out // p
-            while r % p == 0:
-                r //= p
-        p += 1
-    if r > 1:
-        out -= out // r
-    return out
 
 
 def _mobius_divisors(m):
@@ -91,9 +80,11 @@ def _over_binomial(coeffs, d):
     return out
 
 
+@lru_cache(maxsize=None)
 def _cyclotomic(m):
-    """Coefficients of Phi_m(q) from degree 0 up: the product of q^d - 1
-    over mu(m/d) = 1, divided exactly by those over mu(m/d) = -1."""
+    """Coefficients of Phi_m(q) from degree 0 up, as a tuple formed once per
+    m per process: the product of q^d - 1 over mu(m/d) = 1, divided exactly
+    by those over mu(m/d) = -1.  Its length is phi(m) + 1."""
     pairs = _mobius_divisors(m)
     coeffs = [1]
     for d, mu in pairs:
@@ -102,17 +93,7 @@ def _cyclotomic(m):
     for d, mu in pairs:
         if mu == -1:
             coeffs = _over_binomial(coeffs, d)
-    return coeffs
-
-
-def _cyclotomic_at_2(m):
-    num = den = 1
-    for d, mu in _mobius_divisors(m):
-        if mu == 1:
-            num *= (1 << d) - 1
-        else:
-            den *= (1 << d) - 1
-    return num // den
+    return tuple(coeffs)
 
 
 class Member(dict):
@@ -297,8 +278,9 @@ def _binomial_candidates(terms):
 
 def _cyclotomic_candidates(terms):
     """m with phi(m) <= the least q-span of a row, that pass Phi_m(2) | row(2)
-    on that row.  phi(m) > m/6 for every m < 2.2e8 (its least value there is
-    at 9699690 = 2*3*...*19), so m < 6 * span."""
+    on that row; phi(m) and Phi_m(2) are read from Phi_m's coefficients.
+    phi(m) > m/6 for every m < 2.2e8 (its least value there is at
+    9699690 = 2*3*...*19), so m < 6 * span."""
     row = min(_rows(terms).values(), key=lambda r: max(r) - min(r))
     span = max(row) - min(row)
     if span == 0:
@@ -307,11 +289,9 @@ def _cyclotomic_candidates(terms):
     at_2 = sum(c << (a - lo) for a, c in row.items())
     out = []
     for m in range(1, 6 * span + 1):
-        if _totient(m) > span:
-            continue
-        if m > 1 and at_2 % _cyclotomic_at_2(m):
-            continue
-        out.append(m)
+        phi = _cyclotomic(m)
+        if len(phi) - 1 <= span and not at_2 % sum(c << i for i, c in enumerate(phi)):
+            out.append(m)
     return out
 
 

@@ -134,7 +134,14 @@ def _group_blocks(paths, strings):
 
     Each path's prefixes p[:k] and suffixes p[k:] are numbered once, each
     from the next shorter one, so the paths at i are grouped by the numbers
-    of p[:i] and p[i+1:], and no path is sliced."""
+    of p[:i] and p[i+1:], and no path is sliced.
+
+    A block's case is ``spec.classify_local`` of its first member's tokens.
+    It says "4" exactly when lambda_{i-1} = lambda_{i+1}: "4" means one
+    token adds a box and the other removes a box of the same content
+    (a.nu + b.nu = 1, a.z + b.z = 0), and the addable cells of a diagram
+    have distinct contents, as do its removable ones, so the box removed is
+    the box added."""
     n = len(paths[0]) - 1
     heads, tails, numbers = {}, {}, []
     for p in paths:
@@ -151,11 +158,7 @@ def _group_blocks(paths, strings):
         blocks[i] = []
         for members in groups.values():
             pairs = tuple((strings[m][i - 1], strings[m][i]) for m in members)
-            p = paths[members[0]]
-            if p[i - 1] == p[i + 1]:
-                case = spec.LocalCase("4")
-            else:
-                case = spec.classify_local(*pairs[0])
+            case = spec.classify_local(*pairs[0])
             blocks[i].append(Block(i, tuple(members), case, pairs))
     return blocks
 

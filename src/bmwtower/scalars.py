@@ -10,8 +10,9 @@ Q(q, nu).  It holds every value the package builds: each denominator of
 the seminormal construction divides a product of q^(2z) - 1 and
 nu^2 q^(2z) - 1, the eigenvalue separations whose nonvanishing
 ``check_generic`` requires.  A division whose divisor has a factor outside
-B raises ``OutsideBase``: the constructor ``ScalarFraction(num, den)``,
-``1/x`` and ``x/y`` refuse such a value rather than carry it.
+B raises ``OutsideBase``: ``1/x``, ``x/y`` and the constructor
+``ScalarFraction(num, den)`` refuse such a value rather than carry it, the
+constructor also when num is 0.
 
 The numerator is a ``LaurentPoly``; the denominator is kept factored, as a
 positive integer times an exponent vector over B.  Because every operand is
@@ -25,9 +26,13 @@ the factors that can be shared:
   numerator a (L/b) + c (L/d) only by the factors with equal exponents in b
   and d.  A factor f with unequal exponents divides exactly one of the two
   terms: say f's power in b is the smaller; then f divides L/b, but not c
-  (gcd(c, d) = 1) nor L/d, so f does not divide the sum;
-- ``1/x`` and the constructor ``ScalarFraction(num, den)`` split a
-  polynomial over B (``polygcd.split``); ``-x`` never reduces.
+  (gcd(c, d) = 1) nor L/d, so f does not divide the sum.  This is the only
+  path for a sum: when b = d, every factor has equal exponents and L = b,
+  so the numerator is a + c and every factor of b is tried on it, as it
+  must be, since any of them may divide a + c;
+- ``1/x`` splits its numerator over B (``polygcd.split``), the one place a
+  divisor is split, and the constructor ``ScalarFraction(num, den)`` is
+  num * (1/den); ``-x`` never reduces.
 
 A product skips each trial division whose answer is already known, and
 stays exact because each skip rests on a proof that the member f does not
@@ -199,8 +204,9 @@ class ScalarFraction:
     integer) times the product of ``base_terms(key) ** e`` over ``exps``.
     Each base term has least exponent (0, 0) with a positive coefficient,
     so the product does too.  ``exps`` dicts are shared between values and
-    never changed in place.  ``ScalarFraction(num, den)`` raises
-    ``OutsideBase`` when den has a factor outside the base.
+    never changed in place.  ``ScalarFraction(num, den)`` is num * (1/den):
+    it raises ``OutsideBase`` when den has a factor outside the base, also
+    when num is 0, and ``ZeroDivisionError`` when den is 0.
 
     ``_nondivisors`` holds keys of members proven not to divide ``num``:
     at first ``exps`` itself (the value is canonical), then a tuple of its
@@ -211,22 +217,12 @@ class ScalarFraction:
     __slots__ = ("num", "scale", "exps", "_den", "_nondivisors")
 
     def __init__(self, num, den=None):
-        if den is not None and den.is_zero:
-            raise ZeroDivision("division by zero in Q(q, nu)")
-        if den is None or num.is_zero:
-            self.num, self.scale, self.exps = num, 1, {}
-            self._den, self._nondivisors = _ONE_POLY, self.exps
-            return
-        self._den = None
-        c, (zq, zn), exps = _split(den)
-        if (zq, zn) != (0, 0):
-            num = num.shift(-zq, -zn)
-        if c < 0:
-            num = -num
-        num, exps = _cancel(num, exps, exps)
-        num, scale = _cancel_content(num, abs(c))
-        self.num, self.scale, self.exps = num, scale, exps
-        self._nondivisors = exps
+        self.num, self.scale, self.exps = num, 1, {}
+        self._den, self._nondivisors = _ONE_POLY, self.exps
+        if den is not None:
+            x = self * ScalarFraction(den).invert()
+            self.num, self.scale, self.exps = x.num, x.scale, x.exps
+            self._den, self._nondivisors = x._den, x._nondivisors
 
     @staticmethod
     def from_int(c):
@@ -273,13 +269,6 @@ class ScalarFraction:
         if not self.num.terms:
             return other
         a, c = self.num, other.num
-        if self._same_den(other):
-            num = a + c
-            if not num.terms:
-                return _ZERO
-            num, exps = _cancel(num, self.exps, self.exps)
-            num, scale = _cancel_content(num, self.scale)
-            return _fraction(num, scale, exps)
         eb, ed = self.exps, other.exps
         # the lcm of the denominators, and the factors with equal exponents
         # in both: no other factor can divide the numerator of the sum
@@ -347,9 +336,15 @@ class ScalarFraction:
     __rmul__ = __mul__
 
     def invert(self):
+        """1/x, by splitting the numerator over the base; ``OutsideBase``
+        when it has a factor outside the base."""
         if self.num.is_zero:
             raise ZeroDivision("division by zero in Q(q, nu)")
-        c, (zq, zn), exps = _split(self.num)
+        c, (zq, zn), exps, residual = split(self.num.terms)
+        if residual is not None:
+            raise OutsideBase(
+                f"{format_poly(self.num)} has a factor outside the genericity base"
+            )
         num = self.den
         if (zq, zn) != (0, 0):
             num = num.shift(-zq, -zn)
@@ -409,15 +404,6 @@ def _fraction(num, scale, exps, den=None):
 
 
 _ZERO = _fraction(LaurentPoly(), 1, {})
-
-
-def _split(p):
-    """``split`` of the nonzero polynomial p as (c, (zq, znu), exps);
-    OutsideBase when p has a factor outside the genericity base."""
-    c, lo, exps, residual = split(p.terms)
-    if residual is not None:
-        raise OutsideBase(f"{format_poly(p)} has a factor outside the genericity base")
-    return c, lo, exps
 
 
 def _times_base(p, key, e):
@@ -692,7 +678,7 @@ def format_scalar(x):
     num = format_poly(x.num)
     if x.den == _ONE_POLY:
         return num
-    if len(x.num.terms) > 1 or format_poly(x.num).startswith("-"):
+    if len(x.num.terms) > 1 or num.startswith("-"):
         num = f"({num})"
     den = format_poly(x.den)
     if not _is_atom(x.den):

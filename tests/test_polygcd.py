@@ -4,7 +4,7 @@ import functools
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from sympy import ZZ, Poly, cyclotomic_poly, symbols
+from sympy import ZZ, Poly, cyclotomic_poly, symbols, totient
 from sympy.polys.rings import ring
 
 from bmwtower import polygcd
@@ -140,6 +140,20 @@ def test_split_matches_sympy_factorization(keys, r):
         for _ in range(e):
             back = _mul(back, base_terms(key))
     assert back == terms
+
+
+def test_cyclotomic_coefficients_match_sympy():
+    """For every m <= 200, ``_cyclotomic(m)`` holds the coefficients of
+    sympy's Phi_m from degree 0 up, so the values the candidate filter reads
+    from it are right: its degree is phi(m), and their sum at powers of 2 is
+    Phi_m(2).  The filter, which reads m up to 6 times a row's q-span, far
+    above the members the other tests draw, keeps m for Phi_m itself."""
+    for m in range(1, 201):
+        phi = polygcd._cyclotomic(m)
+        assert {(a, 0): c for a, c in enumerate(phi) if c} == _cyclotomic_terms(m), m
+        assert len(phi) - 1 == totient(m), m
+        assert sum(c << a for a, c in enumerate(phi)) == cyclotomic_poly(m, 2), m
+        assert m in polygcd._cyclotomic_candidates(base_terms(m)), m
 
 
 def test_shared_members_stay_unchanged():

@@ -40,12 +40,9 @@ def _sliced_blocks(paths, strings, i):
     for idx, p in enumerate(paths):
         groups.setdefault((p[:i], p[i + 1:]), []).append(idx)
     blocks = []
-    for (pre, post), members in groups.items():
+    for members in groups.values():
         pairs = tuple((strings[m][i - 1], strings[m][i]) for m in members)
-        if pre[i - 1] == post[0]:
-            case = spec.LocalCase("4")
-        else:
-            case = spec.classify_local(*pairs[0])
+        case = spec.classify_local(*pairs[0])
         blocks.append(rb.Block(i, tuple(members), case, pairs))
     return blocks
 
@@ -89,6 +86,20 @@ class TestBlockDecompose:
         b = blocks[0]
         assert b.case.tag == "3a"
         assert (b.case.sign, b.case.power) == (1, 1)
+
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_case_4_exactly_where_the_diagrams_around_agree(self, flip):
+        """A block is classified by its first member's tokens alone; for
+        n <= 7 its case is "4" exactly when its members' lambda_{i-1} and
+        lambda_{i+1} are equal, the rule by diagrams."""
+        for n in range(2, 8):
+            for lam in level_vertices(n):
+                paths = [p for _, p in comb.basis(lam, n, flip)]
+                for i in range(1, n):
+                    for b in rb.block_decompose(lam, n, i, flip):
+                        for m in b.members:
+                            p = paths[m]
+                            assert (b.case.tag == "4") == (p[i - 1] == p[i + 1]), (lam, i, m)
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_case4_block_shape(self, n):

@@ -108,17 +108,25 @@ class TestFieldOps:
     def test_divisor_outside_the_base_is_refused(self, text):
         """/, invert and the constructor refuse a divisor with a factor
         outside the genericity base, also where the quotient would cancel
-        it: the value is refused, not carried."""
+        it: the value is refused, not carried.  The constructor is
+        num * (1/den), so it refuses one over a zero numerator too, as
+        ``ZERO / x`` does, and a zero divisor is a division by zero."""
         x = parse_scalar(text)
         assert outside_base(x.num.terms)
         with pytest.raises(OutsideBase):
             Q / x
+        with pytest.raises(OutsideBase):
+            ZERO / x
         with pytest.raises(OutsideBase):
             x.invert()
         with pytest.raises(OutsideBase):
             ScalarFraction(LaurentPoly.from_int(1), x.num)
         with pytest.raises(OutsideBase):
             ScalarFraction(x.num * x.num, x.num)
+        with pytest.raises(OutsideBase):
+            ScalarFraction(LaurentPoly(), x.num)
+        with pytest.raises(ZeroDivisionError):
+            ScalarFraction(x.num, LaurentPoly())
 
 
 # -- oracle: the canonical pair by definition, the cross products that an
